@@ -14,8 +14,6 @@
 //!   batch=8               motions per CHECK_MOTION frame
 //!   seed=42               capture + replay seed (deterministic)
 //!   oplog=oplog.cprlog    CPRDLOG op-log output path ("-" to skip)
-//!   tsv=oplog.tsv         also export the op-log as the legacy
-//!                         self-describing TSV
 //!   metrics_interval=1    sample global stats every N seconds into a
 //!                         sidecar TSV next to the op-log
 //!   bench_json=bench.json also write the run summary as a perfwatch
@@ -43,11 +41,11 @@
 //! ```
 
 use copred_bench::{Combo, Scale};
-use copred_replay::{LogMeta, LogRecord, LogWriter};
+use copred_replay::{LogMeta, LogWriter};
 use copred_service::protocol::SchedMode;
 use copred_service::{
-    run_loadgen, write_oplog, write_stats_tsv, LoadgenConfig, LoadgenReport, OpRecord, Pacing,
-    Server, ServerConfig,
+    run_loadgen, write_stats_tsv, LoadgenConfig, LoadgenReport, LogRecord, Pacing, Server,
+    ServerConfig,
 };
 use copred_trace::QueryTrace;
 use std::time::Duration;
@@ -64,7 +62,6 @@ const VALID_FLAGS: &[&str] = &[
     "batch",
     "seed",
     "oplog",
-    "tsv",
     "bench_json",
     "metrics_interval",
     "traceids",
@@ -82,7 +79,6 @@ struct Args {
     queries: usize,
     seed: u64,
     oplog: String,
-    tsv: Option<String>,
     bench_json: Option<String>,
     trace: Option<String>,
     inproc: bool,
@@ -106,7 +102,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
         queries: 8,
         seed: 42,
         oplog: "oplog.cprlog".to_string(),
-        tsv: None,
         bench_json: None,
         trace: None,
         inproc: false,
@@ -164,7 +159,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
                 args.lg.seed = args.seed;
             }
             "oplog" => args.oplog = value.to_string(),
-            "tsv" => args.tsv = Some(value.to_string()),
             "bench_json" => args.bench_json = Some(value.to_string()),
             "metrics_interval" => {
                 let secs: f64 = value
@@ -473,7 +467,7 @@ fn main() {
         }
         // The op-log records the warm pass.
         let robot_name = traces.first().map_or("", |t| t.robot_name.as_str());
-        if let Err(e) = write_oplogs(&args, robot_name, &warm.ops) {
+        if let Err(e) = save_oplog(&args, robot_name, &warm.ops) {
             eprintln!("copred_loadgen: writing op-log: {e}");
             std::process::exit(1);
         }
@@ -548,7 +542,7 @@ fn main() {
     }
     {
         let robot_name = traces.first().map_or("", |t| t.robot_name.as_str());
-        if let Err(e) = write_oplogs(&args, robot_name, &report.ops) {
+        if let Err(e) = save_oplog(&args, robot_name, &report.ops) {
             eprintln!("copred_loadgen: writing op-log: {e}");
             std::process::exit(1);
         }
@@ -707,13 +701,10 @@ fn push_run(w: &mut copred_obs::BenchWriter, prefix: &str, report: &LoadgenRepor
     ));
 }
 
-/// Sidecar stats path next to the op-log: `oplog.cprlog` (or `.tsv`) →
+/// Sidecar stats path next to the op-log: `oplog.cprlog` →
 /// `oplog.stats.tsv`.
 fn stats_path(oplog: &str) -> String {
-    let stem = oplog
-        .strip_suffix(".cprlog")
-        .or_else(|| oplog.strip_suffix(".tsv"))
-        .unwrap_or(oplog);
+    let stem = oplog.strip_suffix(".cprlog").unwrap_or(oplog);
     format!("{stem}.stats.tsv")
 }
 
@@ -742,27 +733,23 @@ fn log_meta(args: &Args, robot_name: &str) -> LogMeta {
 }
 
 /// Writes the run's op-log as a sealed CPRDLOG at `args.oplog` (unless
-/// `-`) and, when `tsv=` is set, the legacy TSV export of the same ops.
-fn write_oplogs(args: &Args, robot_name: &str, ops: &[OpRecord]) -> std::io::Result<()> {
-    let meta = log_meta(args, robot_name);
-    if args.oplog != "-" {
-        let file = std::fs::File::create(&args.oplog)?;
-        let mut w = LogWriter::new(std::io::BufWriter::new(file), &meta)?;
-        for op in ops {
-            w.append(&LogRecord::from_op_record(op))?;
-        }
-        w.finish()?;
-        println!(
-            "oplog         {} ({} ops, CPRDLOG v{})",
-            args.oplog,
-            ops.len(),
-            copred_replay::LOG_VERSION
-        );
+/// `-`).
+fn save_oplog(args: &Args, robot_name: &str, ops: &[LogRecord]) -> std::io::Result<()> {
+    if args.oplog == "-" {
+        return Ok(());
     }
-    if let Some(tsv) = args.tsv.as_deref().filter(|t| *t != "-") {
-        std::fs::write(tsv, write_oplog(&meta.to_oplog_meta(), ops))?;
-        println!("tsv           {tsv} ({} ops)", ops.len());
+    let file = std::fs::File::create(&args.oplog)?;
+    let mut w = LogWriter::new(std::io::BufWriter::new(file), &log_meta(args, robot_name))?;
+    for op in ops {
+        w.append(op)?;
     }
+    w.finish()?;
+    println!(
+        "oplog         {} ({} ops, CPRDLOG v{})",
+        args.oplog,
+        ops.len(),
+        copred_replay::LOG_VERSION
+    );
     Ok(())
 }
 

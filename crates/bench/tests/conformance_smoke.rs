@@ -10,15 +10,12 @@ use copred_conform::{run_all, ConformConfig};
 fn conformance_smoke() {
     let report = run_all(&ConformConfig {
         seed: 0x5EED,
-        schedule_iters: 25,
-        service_traces: 4,
-        fault_cases: 16,
-        store_cases: 1,
-        replay_cases: 1,
-        trace_cases: 1,
-        profile_cases: 1,
-        fleet_cases: 1,
+        cases: [25, 4, 16, 1, 1, 1, 1, 1],
     });
-    assert!(report.is_clean(), "{:?}", report.failures);
+    assert!(
+        report.is_clean(),
+        "{:?}",
+        report.failures().collect::<Vec<_>>()
+    );
     assert!(report.total_iterations() >= 47);
 }

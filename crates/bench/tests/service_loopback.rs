@@ -2,16 +2,14 @@
 //! workload replayed over ≥8 concurrent loadgen connections against a
 //! loopback server. Fully seeded — two coord runs agree exactly — and the
 //! server's own STATS must show prediction issuing fewer CDQs than the
-//! naive order on the same workload. The op-log TSV lands on disk and
-//! parses back.
+//! naive order on the same workload. The op-log lands on disk as a
+//! CPRDLOG and reads back bit-exactly.
 
 use copred_bench::{Combo, Scale};
+use copred_replay::{read_log_file, write_log, LogMeta};
 use copred_service::client::stat_u64;
 use copred_service::protocol::SchedMode;
-use copred_service::{
-    parse_oplog, run_loadgen, write_oplog, LoadgenConfig, Pacing, Server, ServerConfig,
-    ServiceClient,
-};
+use copred_service::{run_loadgen, LoadgenConfig, Pacing, Server, ServerConfig, ServiceClient};
 use copred_trace::QueryTrace;
 
 fn capture_mpnet_baxter() -> Vec<QueryTrace> {
@@ -86,18 +84,24 @@ fn mpnet_baxter_loopback_demo() {
         "STATS: coord issued {issued_a} of {total_a}, naive issued {issued_naive}"
     );
 
-    // The op-log: one line per wire op, written to disk and parsed back
-    // along with its self-describing metadata.
-    let meta = copred_service::OplogMeta {
+    // The op-log: one record per wire op, written to disk as a CPRDLOG
+    // and read back along with its self-describing metadata.
+    let meta = LogMeta {
         seed: 42,
+        fingerprint: 0,
+        robot: traces[0].robot_name.clone(),
         workload: "MPNet-Baxter".to_string(),
         scale: format!("traces={}", traces.len()),
     };
-    let path = std::env::temp_dir().join("copred_loadgen_demo_oplog.tsv");
-    std::fs::write(&path, write_oplog(&meta, &coord_a.ops)).expect("write op-log");
-    let (back_meta, back) =
-        parse_oplog(&std::fs::read_to_string(&path).expect("read op-log")).expect("parse op-log");
-    assert_eq!(back_meta, meta);
+    let path = std::env::temp_dir().join(format!(
+        "copred_loadgen_demo_oplog_{}.cprlog",
+        std::process::id()
+    ));
+    std::fs::write(&path, write_log(&meta, &coord_a.ops)).expect("write op-log");
+    let log = read_log_file(&path).expect("read op-log");
+    assert!(log.complete, "sealed footer");
+    assert_eq!(log.meta, meta);
+    let back = log.records;
     assert_eq!(back, coord_a.ops);
     let n_checks = back.iter().filter(|op| op.verb == "check_motion").count();
     assert!(

@@ -1,51 +1,32 @@
 //! `copred_conform` — the conformance gate run by CI.
 //!
 //! ```text
-//! copred_conform [--seed N] [--iters N] [--service-traces N]
-//!                [--fault-cases N] [--store-cases N] [--replay-cases N]
-//!                [--trace-cases N] [--profile-cases N] [--fleet-cases N]
-//!                [--skip-service] [--skip-fault] [--skip-store]
-//!                [--skip-replay] [--skip-trace] [--skip-profile]
-//!                [--skip-fleet]
+//! copred_conform [--seed N] [--stage N [--cases K]]... [--help]
 //! ```
 //!
-//! Runs the seeded differential harness (schedule semantics, service
-//! replay, fault injection, persistence, record→replay, tracing and
-//! profiling invisibility, fleet) and exits nonzero on any divergence,
-//! accounting mismatch, or panic. Defaults run well over 200 differential
-//! iterations; every case is a pure function of `--seed`, so a red CI run
-//! reproduces locally with the same flags. Unknown flags fail fast with
-//! the full flag list — a typo never silently skips a stage.
+//! Runs the seeded differential harness (1 schedule semantics, 2 service
+//! replay, 3 fault injection, 4 persistence, 5 record→replay, 6 tracing
+//! and 7 profiling invisibility, 8 fleet) and exits nonzero on any
+//! divergence, accounting mismatch, or panic. With no `--stage` every
+//! stage runs at its default case count — the CI main gate. Each
+//! `--stage N` selects a stage (only selected stages run); a `--cases K`
+//! right after it overrides that stage's count. Every case is a pure
+//! function of `--seed`, so a red CI run reproduces locally with the
+//! same flags. Unknown flags fail fast with the full flag list — a typo
+//! never silently skips a stage.
 
-use copred_conform::{run_all, ConformConfig};
+use copred_conform::{run_all, ConformConfig, STAGES};
 use std::process::ExitCode;
 
 /// Every flag `copred_conform` accepts; unknown flags are rejected with
 /// this list so a typo never silently no-ops.
-const VALID_FLAGS: &[&str] = &[
-    "--seed",
-    "--iters",
-    "--service-traces",
-    "--fault-cases",
-    "--store-cases",
-    "--replay-cases",
-    "--trace-cases",
-    "--profile-cases",
-    "--fleet-cases",
-    "--skip-service",
-    "--skip-fault",
-    "--skip-store",
-    "--skip-replay",
-    "--skip-trace",
-    "--skip-profile",
-    "--skip-fleet",
-    "--help",
-];
+const VALID_FLAGS: &[&str] = &["--seed", "--stage", "--cases", "--help"];
 
 /// Parses the argument list (without argv[0]) into a config. `Ok(None)`
 /// means `--help` was asked for.
 fn parse_config(args: &[String]) -> Result<Option<ConformConfig>, String> {
     let mut cfg = ConformConfig::default();
+    let mut selected: Vec<(usize, u64)> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut num = |flag: &str| -> Result<u64, String> {
@@ -56,21 +37,20 @@ fn parse_config(args: &[String]) -> Result<Option<ConformConfig>, String> {
         };
         match arg.as_str() {
             "--seed" => cfg.seed = num("--seed")?,
-            "--iters" => cfg.schedule_iters = num("--iters")?,
-            "--service-traces" => cfg.service_traces = num("--service-traces")?,
-            "--fault-cases" => cfg.fault_cases = num("--fault-cases")?,
-            "--store-cases" => cfg.store_cases = num("--store-cases")?,
-            "--replay-cases" => cfg.replay_cases = num("--replay-cases")?,
-            "--trace-cases" => cfg.trace_cases = num("--trace-cases")?,
-            "--profile-cases" => cfg.profile_cases = num("--profile-cases")?,
-            "--fleet-cases" => cfg.fleet_cases = num("--fleet-cases")?,
-            "--skip-service" => cfg.service_traces = 0,
-            "--skip-fault" => cfg.fault_cases = 0,
-            "--skip-store" => cfg.store_cases = 0,
-            "--skip-replay" => cfg.replay_cases = 0,
-            "--skip-trace" => cfg.trace_cases = 0,
-            "--skip-profile" => cfg.profile_cases = 0,
-            "--skip-fleet" => cfg.fleet_cases = 0,
+            "--stage" => {
+                let n = num("--stage")? as usize;
+                let Some(&(_, default)) = STAGES.get(n.wrapping_sub(1)) else {
+                    return Err(format!("unknown stage {n} (stages are 1-{})", STAGES.len()));
+                };
+                selected.push((n, default));
+            }
+            "--cases" => {
+                let k = num("--cases")?;
+                let last = selected
+                    .last_mut()
+                    .ok_or("--cases applies to the preceding --stage; give --stage N first")?;
+                last.1 = k;
+            }
             "--help" | "-h" => return Ok(None),
             other => {
                 return Err(format!(
@@ -78,6 +58,12 @@ fn parse_config(args: &[String]) -> Result<Option<ConformConfig>, String> {
                     VALID_FLAGS.join(", ")
                 ))
             }
+        }
+    }
+    if !selected.is_empty() {
+        cfg.cases = [0; STAGES.len()];
+        for (n, k) in selected {
+            cfg.cases[n - 1] = k;
         }
     }
     Ok(Some(cfg))
@@ -88,7 +74,10 @@ fn main() -> ExitCode {
     let cfg = match parse_config(&args) {
         Ok(Some(cfg)) => cfg,
         Ok(None) => {
-            eprintln!("usage: copred_conform [{}]", VALID_FLAGS.join("] ["));
+            eprintln!("usage: copred_conform [--seed N] [--stage N [--cases K]]...");
+            for (i, (name, cases)) in STAGES.iter().enumerate() {
+                eprintln!("  stage {} {name:<9} {cases} cases by default", i + 1);
+            }
             return ExitCode::from(2);
         }
         Err(e) => {
@@ -97,20 +86,23 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
-        "copred_conform: seed {} | {} schedule cases, {} service traces, {} fault cases, {} store cases, {} replay cases, {} trace cases, {} profile cases, {} fleet cases",
-        cfg.seed, cfg.schedule_iters, cfg.service_traces, cfg.fault_cases, cfg.store_cases, cfg.replay_cases, cfg.trace_cases, cfg.profile_cases, cfg.fleet_cases
-    );
+    let plan: Vec<String> = STAGES
+        .iter()
+        .zip(cfg.cases)
+        .filter(|(_, k)| *k > 0)
+        .map(|((name, _), k)| format!("{k} {name}"))
+        .collect();
+    println!("copred_conform: seed {} | {}", cfg.seed, plan.join(", "));
     let report = run_all(&cfg);
     println!("{}", report.summary());
     if report.is_clean() {
         println!("conformance: PASS");
         ExitCode::SUCCESS
     } else {
-        for f in &report.failures {
+        for f in report.failures() {
             eprintln!("FAIL: {f}");
         }
-        eprintln!("conformance: {} failure(s)", report.failures.len());
+        eprintln!("conformance: {} failure(s)", report.failures().count());
         ExitCode::FAILURE
     }
 }
@@ -123,36 +115,80 @@ mod tests {
         argv.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse_err(argv: &[&str]) -> String {
+        match parse_config(&strs(argv)) {
+            Err(e) => e,
+            Ok(_) => panic!("{argv:?} must be rejected"),
+        }
+    }
+
     #[test]
     fn unknown_flag_fails_fast_and_lists_valid_flags() {
-        let err = parse_config(&strs(&["--seed", "7", "--flete-cases", "1"])).unwrap_err();
-        assert!(err.contains("unknown flag '--flete-cases'"), "{err}");
+        let err = parse_err(&["--seed", "7", "--stag", "1"]);
+        assert!(err.contains("unknown flag '--stag'"), "{err}");
         for flag in VALID_FLAGS {
             assert!(err.contains(flag), "error should list {flag}: {err}");
         }
     }
 
     #[test]
-    fn numeric_flags_and_skips_apply() {
-        let cfg = parse_config(&strs(&[
-            "--seed",
-            "9",
-            "--fleet-cases",
-            "5",
-            "--skip-store",
-        ]))
-        .unwrap()
-        .expect("not help");
+    fn retired_per_stage_flags_are_rejected_with_the_valid_list() {
+        let retired = "--iters --service-traces --fault-cases --store-cases --replay-cases \
+            --trace-cases --profile-cases --fleet-cases --skip-service --skip-fault \
+            --skip-store --skip-replay --skip-trace --skip-profile --skip-fleet";
+        for old in retired.split_whitespace() {
+            let err = parse_err(&[old, "1"]);
+            assert!(err.contains(&format!("unknown flag '{old}'")), "{err}");
+            assert!(err.contains("--seed, --stage, --cases, --help"), "{err}");
+        }
+    }
+
+    #[test]
+    fn no_stage_runs_every_stage_at_its_default() {
+        let cfg = parse_config(&strs(&["--seed", "9"]))
+            .unwrap()
+            .expect("not help");
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.fleet_cases, 5);
-        assert_eq!(cfg.store_cases, 0);
-        let skipped = parse_config(&strs(&["--skip-fleet"])).unwrap().unwrap();
-        assert_eq!(skipped.fleet_cases, 0);
+        assert_eq!(cfg.cases, [150, 24, 80, 4, 3, 3, 3, 2]);
+    }
+
+    #[test]
+    fn stages_select_and_cases_apply_to_the_preceding_stage() {
+        let cfg = parse_config(&strs(&["--stage", "8", "--cases", "4", "--stage", "6"]))
+            .unwrap()
+            .expect("not help");
+        assert_eq!(cfg.cases, [0, 0, 0, 0, 0, 3, 0, 4]);
+    }
+
+    #[test]
+    fn unknown_stage_is_an_error() {
+        for bad in ["0", "9"] {
+            let err = parse_err(&["--stage", bad]);
+            assert!(err.contains(&format!("unknown stage {bad}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn cases_without_a_stage_is_an_error() {
+        let err = parse_err(&["--cases", "4", "--stage", "8"]);
+        assert!(
+            err.contains("--cases applies to the preceding --stage"),
+            "{err}"
+        );
     }
 
     #[test]
     fn missing_numeric_argument_is_an_error() {
-        let err = parse_config(&strs(&["--fleet-cases"])).unwrap_err();
-        assert!(err.contains("--fleet-cases needs"), "{err}");
+        for flag in ["--seed", "--stage", "--cases"] {
+            let err = parse_err(&["--stage", "8", flag]);
+            assert!(err.contains(&format!("{flag} needs")), "{err}");
+        }
+        let err = parse_err(&["--stage", "eight"]);
+        assert!(err.contains("--stage needs"), "{err}");
+    }
+
+    #[test]
+    fn help_is_not_a_config() {
+        assert!(parse_config(&strs(&["--help"])).unwrap().is_none());
     }
 }

@@ -2,196 +2,69 @@
 //!
 //! Three sub-checks per case, all deterministic in the seed:
 //!
-//! * **Replay identity** — a live single-connection loadgen run is
-//!   recorded into a CPRDLOG and replayed through a 2-backend fleet with
-//!   bit-compare on: every response must match the recording, and the
-//!   fleet's response stream must equal a single in-process node's.
-//! * **Migration identity** — one fingerprinted session runs the same
-//!   op stream twice on fresh 2-backend fleets; in the second run the
-//!   session's owner is killed mid-stream. The migrated run must answer
-//!   byte-for-byte like the calm run, and the router's per-session
-//!   metrics ledger must match except for the migration count itself.
+//! * **Replay identity** — a recorded run replays through a 2-backend
+//!   fleet and a single in-process node; the differential engine holds
+//!   both against the recording, each other, and the recorded ledgers.
+//! * **Migration identity** — one fingerprinted session's op stream runs
+//!   on two fresh 2-backend fleets; in the second, the session's owner is
+//!   killed mid-stream. The engine requires the two arms to answer
+//!   byte-for-byte alike; on top, the killed arm must have migrated
+//!   exactly once, the router ledgers must match except for the
+//!   migration count, and the workload must have exercised the predictor
+//!   (`cdqs_issued < cdqs_total`) — otherwise identity proves nothing.
 //! * **Hostile replication** — truncated, version-skewed, and
 //!   CRC-corrupt snapshot pushes against a live store-enabled server
 //!   must come back as structured rejections that leave the receiver
 //!   cold-startable: no panic, no stuck state, no session leak.
 
-use crate::generate::ScenarioGen;
+use crate::Case;
 use copred_core::{ChtParams, Strategy};
-use copred_fleet::FleetBackend;
-use copred_geometry::Vec3;
-use copred_kinematics::Config;
-use copred_replay::format::{read_log, write_log};
-use copred_replay::{
-    normalize_response, run_replay, InProcessBackend, LogMeta, LogRecord, ReplayBackend,
-    ReplayOptions,
-};
+use copred_fleet::{FleetBackend, SessionLedger};
+use copred_replay::{record, unrecorded_log, Arm, Differential, InProcessBackend, ReplayOptions};
 use copred_service::protocol::{Request, Response, SchedMode};
-use copred_service::{run_loadgen, LoadgenConfig, Server, ServerConfig, ServiceClient};
+use copred_service::{LoadgenConfig, Server, ServerConfig, ServiceClient};
 use copred_store::crc::crc32;
 use copred_store::snapshot::encode;
 use copred_store::TableImage;
-use copred_trace::{MotionTrace, Stage, TraceCdq};
+use copred_trace::MotionTrace;
 
-/// Outcome of the fleet stage.
-#[derive(Debug, Default)]
-pub struct FleetCheckOutcome {
-    /// Cases run (replay + migration + hostile sub-checks each).
-    pub cases_run: u64,
-    /// Ops replayed across all fleet and single-node arms.
-    pub ops_replayed: u64,
-    /// Human-readable divergence reports (empty = conformant).
-    pub failures: Vec<String>,
+/// Runs one fleet case: replay, migration, and hostile sub-checks.
+pub(crate) fn check_case(c: &mut Case<'_>) {
+    check_replay_identity(c);
+    check_migration_identity(c);
+    check_hostile_replication(c);
 }
 
-/// Runs `cases` fleet conformance checks, each deterministic in
-/// `base_seed` and the case index.
-pub fn run_fleet_checks(gen: &ScenarioGen, cases: u64, base_seed: u64) -> FleetCheckOutcome {
-    let mut outcome = FleetCheckOutcome::default();
-    for case in 0..cases {
-        let seed = base_seed.wrapping_mul(37).wrapping_add(case);
-        check_replay_identity(gen, case, seed, &mut outcome);
-        check_migration_identity(case, seed, &mut outcome);
-        check_hostile_replication(case, seed, &mut outcome);
-        outcome.cases_run += 1;
-    }
-    outcome
-}
-
-/// Record a live run, then require a fleet replay to match both the
-/// recording and a single-node replay, bit for bit.
-fn check_replay_identity(gen: &ScenarioGen, case: u64, seed: u64, outcome: &mut FleetCheckOutcome) {
-    let fail = |failures: &mut Vec<String>, msg: String| {
-        failures.push(format!("fleet case {case} (replay): {msg}"));
-    };
-    // Trace indices offset far from the other stages' so workloads differ.
-    let traces: Vec<_> = (0..2)
-        .map(|i| gen.query_trace(20_000 + case * 10 + i))
-        .collect();
-    let server = match Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..ServerConfig::default()
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            fail(
-                &mut outcome.failures,
-                format!("recording server failed to start: {e}"),
-            );
-            return;
-        }
-    };
+/// A recorded run replays through a fleet exactly like a single node.
+fn check_replay_identity(c: &mut Case<'_>) {
     let lg = LoadgenConfig {
-        addr: server.local_addr().to_string(),
-        connections: 1,
         mode: SchedMode::Coord,
-        seed,
+        seed: c.seed,
         batch: 2,
         ..LoadgenConfig::default()
     };
-    let report = match run_loadgen(&lg, &traces) {
-        Ok(r) => r,
-        Err(e) => {
-            fail(&mut outcome.failures, format!("recording run failed: {e}"));
-            return;
-        }
-    };
-    drop(server);
-    let meta = LogMeta {
-        seed,
-        fingerprint: 0,
-        robot: traces[0].robot_name.clone(),
-        workload: "conform-fleet".to_string(),
-        scale: format!("traces={}", traces.len()),
-    };
-    let records: Vec<LogRecord> = report.ops.iter().map(LogRecord::from_op_record).collect();
-    let log = match read_log(&write_log(&meta, &records)) {
+    let log = match record(ServerConfig::default(), lg, &c.traces(2), "conform-fleet") {
         Ok(l) => l,
-        Err(e) => {
-            fail(
-                &mut outcome.failures,
-                format!("own recording failed to parse: {e}"),
-            );
-            return;
-        }
+        Err(e) => return c.fail(format_args!("replay: {e}")),
     };
-    let opts = ReplayOptions::default(); // sequential, compare on
-
-    let mut single = InProcessBackend::with_server_defaults();
-    let single_out = match run_replay(&log, &mut single, &opts) {
-        Ok(o) => o,
-        Err(e) => {
-            fail(&mut outcome.failures, format!("single-node replay: {e}"));
-            return;
-        }
-    };
-    outcome.ops_replayed += single_out.ops;
-
     let mut fleet = match FleetBackend::start(2) {
         Ok(f) => f,
-        Err(e) => {
-            fail(&mut outcome.failures, format!("fleet failed to start: {e}"));
-            return;
-        }
+        Err(e) => return c.fail(format_args!("replay: fleet failed to start: {e}")),
     };
-    match run_replay(&log, &mut fleet, &opts) {
-        Ok(fleet_out) => {
-            outcome.ops_replayed += fleet_out.ops;
-            for d in fleet_out.mismatches.iter().take(3) {
-                fail(
-                    &mut outcome.failures,
-                    format!(
-                        "fleet replay diverged from the recording at op {} ({}): recorded {:?}, got {:?}",
-                        d.idx, d.verb, d.expected, d.actual
-                    ),
-                );
-            }
-            if fleet_out.responses != single_out.responses {
-                fail(
-                    &mut outcome.failures,
-                    "fleet and single-node replays answered differently".to_string(),
-                );
-            }
-        }
-        Err(e) => fail(&mut outcome.failures, format!("fleet replay: {e}")),
-    }
-}
-
-/// A deterministic synthetic motion; `salt` varies poses, CDQ centers,
-/// and ground truth so repeated salts re-hit learned CHT entries.
-fn synthetic_motion(salt: u64) -> MotionTrace {
-    let f = |k: u64| ((salt.wrapping_mul(31).wrapping_add(k) % 200) as f64 - 100.0) / 100.0;
-    let poses: Vec<Config> = (0..3)
-        .map(|p| Config::new(vec![f(p * 2), f(p * 2 + 1)]))
-        .collect();
-    let mut cdqs = Vec::new();
-    for pose_idx in 0..poses.len() as u32 {
-        for link_idx in 0..2u32 {
-            let k = u64::from(pose_idx * 2 + link_idx);
-            cdqs.push(TraceCdq {
-                pose_idx,
-                link_idx,
-                center: Vec3::new(f(k + 10), f(k + 20), 0.0),
-                colliding: (salt + k).is_multiple_of(3),
-                obstacle_tests: 1 + (k % 4) as u32,
-            });
-        }
-    }
-    MotionTrace {
-        stage: if salt.is_multiple_of(2) {
-            Stage::Explore
-        } else {
-            Stage::Validate
+    let mut single = InProcessBackend::with_server_defaults().labeled("single");
+    c.run(
+        "replay",
+        Differential {
+            log: &log,
+            arms: vec![Arm::new(&mut single), Arm::new(&mut fleet)],
         },
-        poses,
-        cdqs,
-    }
+    );
 }
 
 /// The migration op stream: one fingerprinted session, batches whose
 /// salts cycle so late rounds revisit learned cells — a migrated replica
 /// that lost warm state would answer those rounds differently.
-fn migration_ops(fp: u64, seed: u64) -> Vec<Request> {
+fn migration_ops(fp: u64, seed: u64) -> Vec<(u64, Request)> {
     let mut ops = vec![Request::Open {
         robot: "planar-2d".to_string(),
         link_count: 2,
@@ -202,119 +75,77 @@ fn migration_ops(fp: u64, seed: u64) -> Vec<Request> {
     for round in 0..6u64 {
         let base = seed * 100 + (round % 3) * 8;
         ops.push(Request::CheckMotion {
-            session: 0,
-            motions: (base..base + 8).map(synthetic_motion).collect(),
+            session: 1,
+            motions: (base..base + 8).map(MotionTrace::synthetic).collect(),
             trace: None,
         });
     }
-    ops.push(Request::Close { session: 0 });
-    ops
-}
-
-/// Drives `ops` through a fleet, killing the session's owner after
-/// `kill_after_op` ops when set. Returns normalized responses and the
-/// final router ledger, or an error string.
-fn drive_fleet(
-    fleet: &mut FleetBackend,
-    ops: &[Request],
-    kill_after_op: Option<usize>,
-) -> Result<(Vec<String>, copred_fleet::SessionLedger), String> {
-    let mut live = 0u64;
-    let mut responses = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        if kill_after_op == Some(i) {
-            let owner = fleet
-                .router()
-                .node_of(live)
-                .ok_or("session not routed at kill point")?;
-            fleet.kill_backend(owner);
-        }
-        let mut op = op.clone();
-        match &mut op {
-            Request::CheckMotion { session, .. } | Request::Close { session } => *session = live,
-            _ => {}
-        }
-        let resp = fleet.call(&op)?;
-        if let Response::Session { id, .. } = resp {
-            live = id;
-        }
-        responses.push(normalize_response(&resp.to_text()));
-    }
-    let ledger = fleet
-        .router()
-        .ledger(live)
-        .ok_or("ledger lost after close")?
-        .clone();
-    Ok((responses, ledger))
+    ops.push(Request::Close { session: 1 });
+    ops.into_iter().map(|op| (1, op)).collect()
 }
 
 /// A killed-and-failed-over session must answer byte-for-byte like an
 /// undisturbed one, with an equal metrics ledger.
-fn check_migration_identity(case: u64, seed: u64, outcome: &mut FleetCheckOutcome) {
-    let fail = |failures: &mut Vec<String>, msg: String| {
-        failures.push(format!("fleet case {case} (migration): {msg}"));
-    };
-    let fp = 0xF1EE_0000_0000 | seed;
-    let ops = migration_ops(fp, seed % 97);
+fn check_migration_identity(c: &mut Case<'_>) {
+    let fp = 0xF1EE_0000_0000 | c.seed;
+    let log = unrecorded_log(migration_ops(fp, c.seed % 97));
     // Kill mid-stream, after the open and at least one check batch but
     // before the last; varies with the case.
-    let kill_at = 2 + (case as usize % 4);
-
-    let calm = FleetBackend::start(2)
-        .map_err(|e| e.to_string())
-        .and_then(|mut fleet| {
-            let out = drive_fleet(&mut fleet, &ops, None);
-            outcome.ops_replayed += ops.len() as u64;
-            out
-        });
-    let stormy = FleetBackend::start(2)
-        .map_err(|e| e.to_string())
-        .and_then(|mut fleet| {
-            let out = drive_fleet(&mut fleet, &ops, Some(kill_at));
-            outcome.ops_replayed += ops.len() as u64;
-            out
-        });
-    let ((calm_resp, calm_ledger), (stormy_resp, stormy_ledger)) = match (calm, stormy) {
-        (Ok(a), Ok(b)) => (a, b),
+    let kill_at = 2 + (c.index as usize % 4);
+    let (mut calm, mut stormy) = match (FleetBackend::start(2), FleetBackend::start(2)) {
+        (Ok(a), Ok(b)) => (
+            a.labeled("calm"),
+            b.labeled("migrated").kill_owner_before(kill_at),
+        ),
         (Err(e), _) | (_, Err(e)) => {
-            fail(&mut outcome.failures, e);
-            return;
+            return c.fail(format_args!("migration: fleet failed to start: {e}"))
         }
     };
+    let opts = ReplayOptions {
+        compare: false,
+        ..ReplayOptions::default()
+    };
+    let arms = vec![
+        Arm {
+            backend: &mut calm,
+            opts,
+        },
+        Arm {
+            backend: &mut stormy,
+            opts,
+        },
+    ];
+    let diff = Differential { log: &log, arms };
+    if c.run("migration", diff).is_none() {
+        return;
+    }
+    let (Some(calm_ledger), Some(stormy_ledger)) =
+        (calm.last_session_ledger(), stormy.last_session_ledger())
+    else {
+        return c.fail("migration: ledger lost after close");
+    };
     if stormy_ledger.migrations != 1 {
-        fail(
-            &mut outcome.failures,
-            format!(
-                "killing the owner at op {kill_at} caused {} migrations, want 1",
-                stormy_ledger.migrations
-            ),
-        );
+        c.fail(format_args!(
+            "migration: killing the owner at op {kill_at} caused {} migrations, want 1",
+            stormy_ledger.migrations
+        ));
     }
-    if calm_resp != stormy_resp {
-        let at = calm_resp.iter().zip(&stormy_resp).position(|(a, b)| a != b);
-        fail(
-            &mut outcome.failures,
-            format!("migrated session diverged from the calm run (first at op {at:?})"),
-        );
-    }
-    let mut stormy_modulo = stormy_ledger.clone();
-    stormy_modulo.migrations = calm_ledger.migrations;
-    if calm_ledger != stormy_modulo {
-        fail(
-            &mut outcome.failures,
-            format!("migrated ledger {stormy_ledger:?} != calm ledger {calm_ledger:?} (modulo migrations)"),
-        );
+    let modulo = SessionLedger {
+        migrations: calm_ledger.migrations,
+        ..stormy_ledger.clone()
+    };
+    if *calm_ledger != modulo {
+        c.fail(format_args!(
+            "migration: migrated ledger {stormy_ledger:?} != calm ledger {calm_ledger:?} (modulo migrations)"
+        ));
     }
     // The identity only means something if the post-kill rounds consulted
     // learned state.
     if calm_ledger.cdqs_issued >= calm_ledger.cdqs_total {
-        fail(
-            &mut outcome.failures,
-            format!(
-                "workload never exercised the predictor ({} of {})",
-                calm_ledger.cdqs_issued, calm_ledger.cdqs_total
-            ),
-        );
+        c.fail(format_args!(
+            "migration: workload never exercised the predictor ({} of {})",
+            calm_ledger.cdqs_issued, calm_ledger.cdqs_total
+        ));
     }
 }
 
@@ -329,17 +160,16 @@ fn tiny_params() -> ChtParams {
 }
 
 /// Torn, version-skewed, and corrupt pushes degrade to cold start.
-fn check_hostile_replication(case: u64, seed: u64, outcome: &mut FleetCheckOutcome) {
-    let fail = |failures: &mut Vec<String>, msg: String| {
-        failures.push(format!("fleet case {case} (hostile): {msg}"));
-    };
+fn check_hostile_replication(c: &mut Case<'_>) {
+    let (case, seed) = (c.index, c.seed);
+    let mut fail = |msg: String| c.fail(format_args!("hostile: {msg}"));
     let dir = std::env::temp_dir().join(format!(
         "copred-conform-fleet-{}-{case}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        fail(&mut outcome.failures, format!("store dir: {e}"));
+        fail(format!("store dir: {e}"));
         return;
     }
     let server = match Server::start(ServerConfig {
@@ -350,17 +180,14 @@ fn check_hostile_replication(case: u64, seed: u64, outcome: &mut FleetCheckOutco
     }) {
         Ok(s) => s,
         Err(e) => {
-            fail(
-                &mut outcome.failures,
-                format!("server failed to start: {e}"),
-            );
+            fail(format!("server failed to start: {e}"));
             return;
         }
     };
     let mut client = match ServiceClient::connect(server.local_addr()) {
         Ok(c) => c,
         Err(e) => {
-            fail(&mut outcome.failures, format!("connect: {e}"));
+            fail(format!("connect: {e}"));
             return;
         }
     };
@@ -396,52 +223,39 @@ fn check_hostile_replication(case: u64, seed: u64, outcome: &mut FleetCheckOutco
         match resp {
             Ok(Response::Error(_)) => {}
             Ok(other) => {
-                fail(
-                    &mut outcome.failures,
-                    format!("{shape} push must be rejected, got {other:?}"),
-                );
+                fail(format!("{shape} push must be rejected, got {other:?}"));
                 continue;
             }
             Err(e) => {
-                fail(
-                    &mut outcome.failures,
-                    format!("{shape} push dropped the connection: {e}"),
-                );
+                fail(format!("{shape} push dropped the connection: {e}"));
                 return;
             }
         }
         // Nothing stuck under the fingerprint, and sessions still open.
         match client.call(&Request::SnapGet { fp }) {
             Ok(Response::SnapNone { .. }) => {}
-            Ok(other) => fail(
-                &mut outcome.failures,
-                format!("{shape}: rejected push left state behind: {other:?}"),
-            ),
-            Err(e) => fail(&mut outcome.failures, format!("{shape}: snap_get: {e}")),
+            Ok(other) => fail(format!(
+                "{shape}: rejected push left state behind: {other:?}"
+            )),
+            Err(e) => fail(format!("{shape}: snap_get: {e}")),
         }
         let opened = client.open_with_fp("planar-2d", 2, SchedMode::Coord, 3, Some(fp));
         match opened {
             Ok((id, _warm)) => {
                 if let Err(e) = client.close(id) {
-                    fail(&mut outcome.failures, format!("{shape}: close: {e}"));
+                    fail(format!("{shape}: close: {e}"));
                 }
             }
-            Err(e) => fail(
-                &mut outcome.failures,
-                format!("{shape}: receiver not cold-startable: {e}"),
-            ),
+            Err(e) => fail(format!("{shape}: receiver not cold-startable: {e}")),
         }
         match client.stats(None) {
             Ok(kv) => {
                 let open = kv.iter().find(|(k, _)| k == "sessions_open");
                 if open.map(|(_, v)| v.as_str()) != Some("0") {
-                    fail(
-                        &mut outcome.failures,
-                        format!("{shape}: session leak: sessions_open = {open:?}"),
-                    );
+                    fail(format!("{shape}: session leak: sessions_open = {open:?}"));
                 }
             }
-            Err(e) => fail(&mut outcome.failures, format!("{shape}: stats: {e}")),
+            Err(e) => fail(format!("{shape}: stats: {e}")),
         }
     }
     drop(client);
@@ -452,13 +266,14 @@ fn check_hostile_replication(case: u64, seed: u64, outcome: &mut FleetCheckOutco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScenarioGen;
 
     #[test]
     fn single_case_is_clean() {
         let gen = ScenarioGen::new(43);
-        let out = run_fleet_checks(&gen, 1, 4300);
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert_eq!(out.cases_run, 1);
-        assert!(out.ops_replayed > 0);
+        let mut c = Case::new(&gen, 8, 4300, 0);
+        check_case(&mut c);
+        assert!(c.failures.is_empty(), "{:?}", c.failures);
+        assert!(c.ops > 0);
     }
 }

@@ -29,7 +29,7 @@ use copred_service::{
     CheckResult, SchedMode, Server, ServerConfig, ServiceClient, SessionRegistry,
 };
 use copred_swexec::{run_cpu, CpuExecConfig};
-use copred_trace::{MotionTrace, QueryTrace};
+use copred_trace::QueryTrace;
 use std::sync::atomic::Ordering;
 
 /// Sessions per server instance; kept below the pool cap so the LRU can
@@ -38,24 +38,6 @@ const CHUNK: usize = 8;
 
 /// CSP stride shared by both paths.
 const CSP_STEP: usize = 5;
-
-/// Executes one batch exactly as the server's worker does, against an
-/// in-process session, returning the wire-visible results and updating the
-/// session's metrics the same way. Delegates to the service's own
-/// [`copred_service::execute_batch`] — the single definition of batch
-/// semantics shared by the TCP worker, this harness, and the replay
-/// engine.
-pub fn replay_batch_in_process(
-    session: &copred_service::SessionState,
-    motions: &[MotionTrace],
-    csp_step: usize,
-) -> Vec<CheckResult> {
-    copred_service::execute_batch(session, motions, csp_step)
-}
-
-fn mode_for(i: usize) -> SchedMode {
-    [SchedMode::Coord, SchedMode::Naive, SchedMode::Csp][i % 3]
-}
 
 fn batch_size_for(i: usize) -> usize {
     1 + i % 3
@@ -129,7 +111,7 @@ fn diff_chunk(
 
     let mut runs: Vec<SessionRun> = Vec::new();
     for (i, trace) in chunk.iter().enumerate() {
-        let mode = mode_for(i);
+        let mode = crate::mode_for(i as u64);
         let seed = base_seed
             .wrapping_add(chunk_idx as u64 * 1000)
             .wrapping_add(i as u64);
@@ -169,7 +151,7 @@ fn diff_chunk(
         };
         let mut local_results = Vec::new();
         for batch in trace.motions.chunks(batch_size_for(i)) {
-            local_results.extend(replay_batch_in_process(&session, batch, CSP_STEP));
+            local_results.extend(copred_service::execute_batch(&session, batch, CSP_STEP));
         }
 
         // Per-check diff, plus the brute-force verdict both must match.

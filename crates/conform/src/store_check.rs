@@ -1,429 +1,342 @@
-//! Persistence conformance: the store may change *when* learned state is
-//! available, never *what* the predictor computes.
+//! Stage 4: persistence conformance — the store may change *when*
+//! learned state is available, never *what* the predictor computes.
+//! Every differential here replays one request stream through the engine
+//! against a store-backed in-process registry and a store-enabled
+//! loopback server, which must agree op for op (`warm` flags included).
 //!
-//! Three differentials per case, all pure functions of the seed:
-//!
-//! 1. **Warm-start equivalence** — a session that runs the first half of a
-//!    trace, closes (persisting a snapshot), and warm-reopens must produce
-//!    bit-identical results on the second half as a session that simply
-//!    kept its table. Checked twice: in-process against a continuous
-//!    baseline, and over a loopback TCP server with `store_dir` enabled —
-//!    the wire `warm` flags are asserted along the way.
-//! 2. **Crash recovery** — the first half runs against a store-enabled
-//!    loopback server that is then dropped *without* closing the session
-//!    (the WAL is the only survivor). A second server on the same
-//!    directory must recover: same warm verdict and bit-identical
-//!    second-half results as an in-process registry put through the
-//!    identical crash, with no leaked sessions afterwards.
-//! 3. **Torn tail** — the crashed directory's last WAL segment is
-//!    truncated at several byte offsets; every truncation must still load
-//!    (or degrade to cold) without a panic.
+//! 1. **Warm-start equivalence** — first half, close (persisting a
+//!    snapshot), warm reopen, second half: the second half must match a
+//!    continuous session that kept its table.
+//! 2. **Crash recovery** — the first half runs and both arms are dropped
+//!    without a close. The WAL alone must rebuild the crashed table
+//!    bit-exactly; then a registry over the recovered store and a server
+//!    restarted on the crashed directory answer the second half alike,
+//!    warm exactly when the crashed table was non-empty, with no leaked
+//!    sessions.
+//! 3. **Torn tail** — the crashed WAL's last segment truncated at several
+//!    offsets must still load (or degrade to cold) without a panic.
 
-use crate::generate::ScenarioGen;
-use copred_service::{
-    CheckResult, SchedMode, Server, ServerConfig, ServiceClient, SessionRegistry,
+use crate::Case;
+use copred_core::ChtParams;
+use copred_replay::{
+    unrecorded_log, AbOutcome, Arm, Differential, InProcessBackend, LoopbackBackend, ReplayBackend,
+    ReplayOptions,
 };
+use copred_service::client::stat_u64;
+use copred_service::protocol::{Request, Response};
+use copred_service::{CheckResult, SchedMode, ServerConfig, SessionRegistry};
 use copred_store::{StoreRegistry, TableImage};
 use copred_trace::{MotionTrace, QueryTrace};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// CSP stride shared by every path in this stage.
 const CSP_STEP: usize = 5;
 /// Motions per check batch, shared by every path.
 const BATCH: usize = 2;
+/// Session capacity of every registry and server in this stage.
+const CAPACITY: usize = 16;
 
-/// Outcome of the persistence stage.
-#[derive(Debug, Default)]
-pub struct StoreCheckOutcome {
-    /// Differential cases executed (scenarios × traces).
-    pub cases_run: u64,
-    /// Human-readable divergence reports (empty = conformant).
-    pub failures: Vec<String>,
-}
-
-/// Runs `cases` seeded persistence cases.
-pub fn run_store_checks(gen: &ScenarioGen, cases: u64, base_seed: u64) -> StoreCheckOutcome {
-    let mut outcome = StoreCheckOutcome::default();
-    for i in 0..cases {
-        let trace = gen.query_trace(1000 + i);
-        if trace.motions.len() < 2 {
-            continue;
-        }
-        let seed = base_seed.wrapping_add(i.wrapping_mul(0x9E37_79B9));
-        let fp = seed | 1; // fingerprints are opaque u64 keys on the wire
-        let root = scratch_dir(&format!("conform-{base_seed}-{i}"));
-        warm_equivalence_case(&trace, seed, fp, &root, i, &mut outcome);
-        crash_recovery_case(&trace, seed, fp, &root, i, &mut outcome);
-        let _ = std::fs::remove_dir_all(&root);
+/// Runs one persistence case: warm start, crash recovery, torn tail.
+pub(crate) fn check_case(c: &mut Case<'_>) {
+    let trace = c.traces(1).remove(0);
+    if trace.motions.len() < 2 {
+        return;
     }
-    outcome
+    let fp = c.seed | 1; // fingerprints are opaque u64 keys on the wire
+    let root = std::env::temp_dir().join(format!(
+        "copred-store-check-{}-{}-{}",
+        std::process::id(),
+        c.seed,
+        c.index
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+    warm_equivalence(c, &trace, fp, &root);
+    crash_recovery(c, &trace, fp, &root);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("copred-store-check-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn params() -> ChtParams {
+    ChtParams::paper_2d()
 }
 
 fn halves(trace: &QueryTrace) -> (&[MotionTrace], &[MotionTrace]) {
     trace.motions.split_at(trace.motions.len() / 2)
 }
 
-/// Replays `motions` batch-by-batch against an in-process coord session.
-fn replay_local(
-    session: &copred_service::SessionState,
+/// One coord session's ops under log token `token`: an open carrying
+/// `fp`, `motions` in check batches, and (when `close`) the close.
+fn session_ops(
+    trace: &QueryTrace,
+    seed: u64,
+    fp: u64,
+    token: u64,
     motions: &[MotionTrace],
-) -> Vec<CheckResult> {
-    let mut results = Vec::new();
-    for batch in motions.chunks(BATCH) {
-        results.extend(crate::service_diff::replay_batch_in_process(
-            session, batch, CSP_STEP,
-        ));
+    close: bool,
+) -> Vec<(u64, Request)> {
+    let mut ops = vec![Request::Open {
+        robot: trace.robot_name.clone(),
+        link_count: trace.link_count,
+        mode: SchedMode::Coord,
+        seed,
+        fp: Some(fp),
+    }];
+    ops.extend(motions.chunks(BATCH).map(|batch| Request::CheckMotion {
+        session: token,
+        motions: batch.to_vec(),
+        trace: None,
+    }));
+    if close {
+        ops.push(Request::Close { session: token });
     }
-    results
+    ops.into_iter().map(|op| (token, op)).collect()
 }
 
-/// Replays `motions` batch-by-batch over the wire.
-fn replay_tcp(
-    client: &mut ServiceClient,
-    id: u64,
-    motions: &[MotionTrace],
-) -> std::io::Result<Vec<CheckResult>> {
-    let mut results = Vec::new();
-    for batch in motions.chunks(BATCH) {
-        let (rs, _retries) = client.check_motions(id, batch, 20)?;
-        results.extend(rs);
-    }
-    Ok(results)
+fn store_registry(store: StoreRegistry) -> SessionRegistry {
+    SessionRegistry::new_with_store(params(), CAPACITY, Some(Arc::new(store)))
 }
 
-fn store_server(root: &Path) -> std::io::Result<Server> {
-    Server::start(ServerConfig {
+/// The two arms of every differential here: a registry over a store at
+/// `inproc` and a server whose store lives at `wire`.
+fn arms(inproc: &Path, wire: &Path) -> Result<(InProcessBackend, LoopbackBackend), String> {
+    let store = StoreRegistry::open(inproc).map_err(|e| format!("store open: {e}"))?;
+    Ok((
+        InProcessBackend::over(store_registry(store), CSP_STEP),
+        wire_arm(wire)?,
+    ))
+}
+
+fn wire_arm(dir: &Path) -> Result<LoopbackBackend, String> {
+    LoopbackBackend::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        max_sessions: 16,
-        cht_params: copred_core::ChtParams::paper_2d(),
+        max_sessions: CAPACITY,
+        cht_params: params(),
         csp_step: CSP_STEP,
-        store_dir: Some(root.to_string_lossy().into_owned()),
+        store_dir: Some(dir.to_string_lossy().into_owned()),
         ..ServerConfig::default()
     })
+    .map_err(|e| format!("server start: {e}"))
+}
+
+/// Replays the unrecorded `ops` through both arms, which must agree op
+/// for op.
+fn differential(
+    c: &mut Case<'_>,
+    what: &str,
+    ops: Vec<(u64, Request)>,
+    inproc: &mut InProcessBackend,
+    wire: &mut LoopbackBackend,
+) -> Option<AbOutcome> {
+    let log = unrecorded_log(ops);
+    let opts = ReplayOptions {
+        compare: false,
+        ..ReplayOptions::default()
+    };
+    c.run(
+        what,
+        Differential {
+            log: &log,
+            arms: vec![
+                Arm {
+                    backend: inproc,
+                    opts,
+                },
+                Arm {
+                    backend: wire,
+                    opts,
+                },
+            ],
+        },
+    )
+}
+
+/// The check results in (normalized) responses.
+fn results(responses: &[String]) -> Vec<CheckResult> {
+    responses
+        .iter()
+        .filter_map(|r| match Response::from_text(r) {
+            Ok(Response::Results { results, .. }) => Some(results),
+            _ => None,
+        })
+        .flatten()
+        .collect()
+}
+
+fn open_ack(warm: bool) -> String {
+    format!("ok session _ warm {}\n", u8::from(warm))
 }
 
 /// Scenario 1: close-then-reopen warm start reproduces a continuous
 /// session bit-for-bit, in-process and over the wire.
-fn warm_equivalence_case(
-    trace: &QueryTrace,
-    seed: u64,
-    fp: u64,
-    root: &Path,
-    case: u64,
-    outcome: &mut StoreCheckOutcome,
-) {
-    outcome.cases_run += 1;
-    let fail = |failures: &mut Vec<String>, msg: String| {
-        failures.push(format!("store case {case} (warm equivalence): {msg}"));
-    };
-    let params = copred_core::ChtParams::paper_2d();
+fn warm_equivalence(c: &mut Case<'_>, trace: &QueryTrace, fp: u64, root: &Path) {
     let (first, second) = halves(trace);
 
     // Continuous baseline: one session runs both halves, no store.
-    let baseline = SessionRegistry::new(params, 16);
-    let (cont, _) = match baseline.open(&trace.robot_name, SchedMode::Coord, seed) {
-        Ok(s) => s,
-        Err(e) => return fail(&mut outcome.failures, format!("baseline open: {e}")),
+    let baseline = SessionRegistry::new(params(), CAPACITY);
+    let cont_second = match baseline.open(&trace.robot_name, SchedMode::Coord, c.seed) {
+        Ok((s, _)) => {
+            for batch in first.chunks(BATCH) {
+                copred_service::execute_batch(&s, batch, CSP_STEP);
+            }
+            second
+                .chunks(BATCH)
+                .flat_map(|batch| copred_service::execute_batch(&s, batch, CSP_STEP))
+                .collect::<Vec<_>>()
+        }
+        Err(e) => return c.fail(format_args!("warm equivalence: baseline open: {e}")),
     };
-    let _ = replay_local(&cont, first);
-    let cont_second = replay_local(&cont, second);
 
-    // In-process store path: run, close (persist), warm-reopen, run again.
-    let store_a = match StoreRegistry::open(root.join("inproc")) {
-        Ok(s) => Arc::new(s),
-        Err(e) => return fail(&mut outcome.failures, format!("store open: {e}")),
+    let mut ops = session_ops(trace, c.seed, fp, 1, first, true);
+    let reopen_at = ops.len();
+    ops.extend(session_ops(trace, c.seed, fp, 2, second, true));
+    let (mut inproc, mut wire) = match arms(&root.join("inproc"), &root.join("tcp")) {
+        Ok(a) => a,
+        Err(e) => return c.fail(format_args!("warm equivalence: {e}")),
     };
-    let registry = SessionRegistry::new_with_store(params, 16, Some(store_a));
-    match registry.open_full(&trace.robot_name, SchedMode::Coord, seed, Some(fp)) {
-        Ok(o) => {
-            if o.warm {
-                fail(
-                    &mut outcome.failures,
-                    "first in-process open reported warm".into(),
-                );
-            }
-            let _ = replay_local(&o.session, first);
-            let id = o.session.id;
-            drop(o);
-            if let Err(e) = registry.close(id) {
-                fail(&mut outcome.failures, format!("in-process close: {e}"));
-            }
-        }
-        Err(e) => return fail(&mut outcome.failures, format!("in-process open: {e}")),
+    let Some(ab) = differential(c, "warm equivalence", ops, &mut inproc, &mut wire) else {
+        return;
+    };
+    let responses = &ab.first().out.responses;
+    if responses.first() != Some(&open_ack(false)) {
+        c.fail("warm equivalence: first open reported warm");
     }
-    let local_second = match registry.open_full(&trace.robot_name, SchedMode::Coord, seed, Some(fp))
-    {
-        Ok(o) => {
-            if !o.warm {
-                fail(
-                    &mut outcome.failures,
-                    "in-process reopen did not warm-start".into(),
-                );
-            }
-            replay_local(&o.session, second)
-        }
-        Err(e) => return fail(&mut outcome.failures, format!("in-process reopen: {e}")),
-    };
-    if local_second != cont_second {
-        fail(
-            &mut outcome.failures,
-            "warm in-process second half diverged from continuous session".into(),
-        );
+    if responses.get(reopen_at) != Some(&open_ack(true)) {
+        c.fail("warm equivalence: reopen did not warm-start");
     }
-
-    // Loopback store path: same sequence over the wire.
-    let server = match store_server(&root.join("tcp")) {
-        Ok(s) => s,
-        Err(e) => return fail(&mut outcome.failures, format!("server start: {e}")),
-    };
-    let mut client = match ServiceClient::connect(server.local_addr()) {
-        Ok(c) => c,
-        Err(e) => return fail(&mut outcome.failures, format!("connect: {e}")),
-    };
-    let tcp_second = (|| -> std::io::Result<Vec<CheckResult>> {
-        let (id, warm) = client.open_with_fp(
-            &trace.robot_name,
-            trace.link_count,
-            SchedMode::Coord,
-            seed,
-            Some(fp),
-        )?;
-        if warm {
-            fail(
-                &mut outcome.failures,
-                "first wire open reported warm".into(),
-            );
-        }
-        let _ = replay_tcp(&mut client, id, first)?;
-        client.close(id)?;
-        let (id, warm) = client.open_with_fp(
-            &trace.robot_name,
-            trace.link_count,
-            SchedMode::Coord,
-            seed,
-            Some(fp),
-        )?;
-        if !warm {
-            fail(
-                &mut outcome.failures,
-                "wire reopen did not warm-start".into(),
-            );
-        }
-        let out = replay_tcp(&mut client, id, second)?;
-        client.close(id)?;
-        Ok(out)
-    })();
-    match tcp_second {
-        Ok(rs) if rs != cont_second => fail(
-            &mut outcome.failures,
-            "warm wire second half diverged from continuous session".into(),
-        ),
-        Ok(_) => {}
-        Err(e) => fail(&mut outcome.failures, format!("wire warm replay: {e}")),
+    if results(&responses[reopen_at.min(responses.len())..]) != cont_second {
+        c.fail("warm equivalence: warm second half diverged from continuous session");
     }
 }
 
 /// Scenarios 2 and 3: crash (drop without close), recover from the WAL,
 /// and survive a torn tail.
-fn crash_recovery_case(
-    trace: &QueryTrace,
-    seed: u64,
-    fp: u64,
-    root: &Path,
-    case: u64,
-    outcome: &mut StoreCheckOutcome,
-) {
-    outcome.cases_run += 1;
-    let fail = |failures: &mut Vec<String>, msg: String| {
-        failures.push(format!("store case {case} (crash recovery): {msg}"));
-    };
-    let params = copred_core::ChtParams::paper_2d();
+fn crash_recovery(c: &mut Case<'_>, trace: &QueryTrace, fp: u64, root: &Path) {
     let (first, second) = halves(trace);
+    let (dir_a, dir_b) = (root.join("crash-inproc"), root.join("crash-tcp"));
 
-    // In-process mirror of the crash: same trace, own store directory,
-    // session dropped (never closed) so only the WAL survives.
-    let crash_a = root.join("crash-inproc");
-    let expected_cells: Vec<(u8, u8)>;
-    {
-        let store = match StoreRegistry::open(&crash_a) {
-            Ok(s) => Arc::new(s),
-            Err(e) => return fail(&mut outcome.failures, format!("store open: {e}")),
+    // The crash: both arms run the first half and are dropped with the
+    // session still open.
+    let expected_cells = {
+        let (mut inproc, mut wire) = match arms(&dir_a, &dir_b) {
+            Ok(a) => a,
+            Err(e) => return c.fail(format_args!("crash recovery: {e}")),
         };
-        let registry = SessionRegistry::new_with_store(params, 16, Some(store));
-        match registry.open_full(&trace.robot_name, SchedMode::Coord, seed, Some(fp)) {
-            Ok(o) => {
-                let _ = replay_local(&o.session, first);
-                expected_cells = o.session.shard.export_cells();
-            }
-            Err(e) => return fail(&mut outcome.failures, format!("in-process open: {e}")),
+        let ops = session_ops(trace, c.seed, fp, 1, first, false);
+        if differential(c, "pre-crash", ops, &mut inproc, &mut wire).is_none() {
+            return;
         }
-        // Registry (and the session's WAL handle) dropped here: the crash.
-    }
+        match inproc.opened().first() {
+            Some(s) => s.shard.export_cells(),
+            None => return c.fail("crash recovery: pre-crash session never opened"),
+        }
+    };
 
     // Recovery must reconstruct the table bit-exactly from the WAL alone.
-    let recovered = match StoreRegistry::open(&crash_a) {
+    let recovered = match StoreRegistry::open(&dir_a) {
         Ok(s) => s,
-        Err(e) => return fail(&mut outcome.failures, format!("store reopen: {e}")),
+        Err(e) => return c.fail(format_args!("crash recovery: store reopen: {e}")),
     };
-    let image = recovered.load(fp, &params);
-    let expected_warm = expected_cells.iter().any(|&(c, n)| c != 0 || n != 0);
-    match image {
-        Some(img) => {
-            if !expected_warm {
-                fail(
-                    &mut outcome.failures,
-                    "recovery produced an image from an empty table".into(),
-                );
-            } else if img.cells != expected_cells {
-                fail(
-                    &mut outcome.failures,
-                    "WAL recovery diverged from the live table at crash time".into(),
-                );
-            }
+    let expected_warm = expected_cells.iter().any(|&(a, b)| a != 0 || b != 0);
+    match recovered.load(fp, &params()) {
+        Some(_) if !expected_warm => {
+            c.fail("crash recovery: recovery produced an image from an empty table");
         }
-        None if expected_warm => fail(
-            &mut outcome.failures,
-            "recovery lost a non-empty table".into(),
-        ),
-        None => {}
+        Some(img) if img.cells != expected_cells => {
+            c.fail("crash recovery: WAL recovery diverged from the live table at crash time");
+        }
+        None if expected_warm => c.fail("crash recovery: recovery lost a non-empty table"),
+        _ => {}
     }
 
-    // Post-recovery, the service differential must still bit-match: a warm
-    // in-process session and a warm wire session (crashed the same way)
-    // replay the second half identically.
-    let registry = SessionRegistry::new_with_store(params, 16, Some(Arc::new(recovered)));
-    let (local_warm, local_second) =
-        match registry.open_full(&trace.robot_name, SchedMode::Coord, seed, Some(fp)) {
-            Ok(o) => (o.warm, replay_local(&o.session, second)),
-            Err(e) => return fail(&mut outcome.failures, format!("recovered open: {e}")),
-        };
-    if local_warm != expected_warm {
-        fail(
-            &mut outcome.failures,
-            format!("recovered warm {local_warm} != expected {expected_warm}"),
-        );
-    }
+    post_crash(c, trace, fp, second, recovered, expected_warm, &dir_b);
+    torn_tail(c, &dir_a, fp);
+}
 
-    let crash_b = root.join("crash-tcp");
-    {
-        let server = match store_server(&crash_b) {
-            Ok(s) => s,
-            Err(e) => return fail(&mut outcome.failures, format!("server start: {e}")),
-        };
-        let crashed = (|| -> std::io::Result<()> {
-            let mut client = ServiceClient::connect(server.local_addr())?;
-            let (id, _) = client.open_with_fp(
-                &trace.robot_name,
-                trace.link_count,
-                SchedMode::Coord,
-                seed,
-                Some(fp),
-            )?;
-            let _ = replay_tcp(&mut client, id, first)?;
-            Ok(()) // session deliberately left open: the crash
-        })();
-        if let Err(e) = crashed {
-            return fail(&mut outcome.failures, format!("pre-crash wire run: {e}"));
-        }
-        // Server dropped here without the session ever closing.
-    }
-    let server = match store_server(&crash_b) {
-        Ok(s) => s,
-        Err(e) => return fail(&mut outcome.failures, format!("server restart: {e}")),
+/// Post-recovery, a registry over the recovered store and a server
+/// restarted on the crashed directory answer the second half alike.
+fn post_crash(
+    c: &mut Case<'_>,
+    trace: &QueryTrace,
+    fp: u64,
+    second: &[MotionTrace],
+    recovered: StoreRegistry,
+    expected_warm: bool,
+    wire_dir: &Path,
+) {
+    let mut inproc = InProcessBackend::over(store_registry(recovered), CSP_STEP);
+    let mut wire = match wire_arm(wire_dir) {
+        Ok(w) => w,
+        Err(e) => return c.fail(format_args!("crash recovery: restart: {e}")),
     };
-    let wire = (|| -> std::io::Result<(bool, Vec<CheckResult>, Option<u64>)> {
-        let mut client = ServiceClient::connect(server.local_addr())?;
-        let (id, warm) = client.open_with_fp(
-            &trace.robot_name,
-            trace.link_count,
-            SchedMode::Coord,
-            seed,
-            Some(fp),
-        )?;
-        let out = replay_tcp(&mut client, id, second)?;
-        client.close(id)?;
-        let open = copred_service::client::stat_u64(&client.stats(None)?, "sessions_open");
-        Ok((warm, out, open))
-    })();
-    match wire {
-        Ok((warm, tcp_second, open)) => {
-            if warm != expected_warm {
-                fail(
-                    &mut outcome.failures,
-                    format!("wire recovered warm {warm} != expected {expected_warm}"),
-                );
-            }
-            if tcp_second != local_second {
-                fail(
-                    &mut outcome.failures,
-                    "post-crash wire replay diverged from in-process replay".into(),
-                );
-            }
-            if open != Some(0) {
-                fail(
-                    &mut outcome.failures,
-                    format!("sessions leaked after recovery: {open:?}"),
-                );
-            }
-        }
-        Err(e) => fail(&mut outcome.failures, format!("post-crash wire run: {e}")),
+    let ops = session_ops(trace, c.seed, fp, 1, second, true);
+    let Some(ab) = differential(c, "post-crash", ops, &mut inproc, &mut wire) else {
+        return;
+    };
+    if ab.first().out.responses.first() != Some(&open_ack(expected_warm)) {
+        c.fail(format_args!(
+            "crash recovery: recovered open {:?}, want warm {expected_warm}",
+            ab.first().out.responses.first()
+        ));
     }
+    match wire.call(&Request::Stats { session: None }) {
+        Ok(Response::Stats(kv)) if stat_u64(&kv, "sessions_open") == Some(0) => {}
+        other => c.fail(format_args!(
+            "crash recovery: sessions leaked after recovery: {other:?}"
+        )),
+    }
+}
 
-    // Torn tail: truncating the last surviving WAL segment anywhere must
-    // never panic a later load.
-    outcome.cases_run += 1;
-    let segs = copred_store::wal::segments(&crash_a);
-    if let Some((_, last)) = segs.last() {
-        let full = match std::fs::read(last) {
-            Ok(b) => b,
-            Err(e) => return fail(&mut outcome.failures, format!("read segment: {e}")),
-        };
-        for frac in [1, 2, 3, 5] {
-            let cut = full.len() * frac / 6;
-            if std::fs::write(last, &full[..cut]).is_err() {
-                continue;
-            }
-            let reopened = match StoreRegistry::open(&crash_a) {
-                Ok(s) => s,
-                Err(e) => {
-                    fail(
-                        &mut outcome.failures,
-                        format!("torn-tail store open (cut {cut}): {e}"),
-                    );
-                    continue;
-                }
-            };
-            // Any outcome but a panic is acceptable; a produced image must
-            // at least have the right geometry.
-            if let Some(img) = reopened.load(fp, &params) {
-                if img.cells.len() != TableImage::empty(params).cells.len() {
-                    fail(
-                        &mut outcome.failures,
-                        format!("torn-tail image has wrong geometry (cut {cut})"),
-                    );
+/// Truncating the last surviving WAL segment anywhere must never panic a
+/// later load; the full segment is restored afterwards. Runs after every
+/// other use of `dir`, so a torn table can never leak into the recovery
+/// differential.
+fn torn_tail(c: &mut Case<'_>, dir: &Path, fp: u64) {
+    let segs = copred_store::wal::segments(dir);
+    let Some((_, last)) = segs.last() else {
+        return;
+    };
+    let full = match std::fs::read(last) {
+        Ok(b) => b,
+        Err(e) => return c.fail(format_args!("torn tail: read segment: {e}")),
+    };
+    for frac in [1, 2, 3, 5] {
+        let cut = full.len() * frac / 6;
+        if std::fs::write(last, &full[..cut]).is_err() {
+            continue;
+        }
+        match StoreRegistry::open(dir) {
+            // Any outcome but a panic is acceptable; a produced image
+            // must at least have the right geometry.
+            Ok(reopened) => {
+                if let Some(img) = reopened.load(fp, &params()) {
+                    if img.cells.len() != TableImage::empty(params()).cells.len() {
+                        c.fail(format_args!(
+                            "torn tail: image has wrong geometry (cut {cut})"
+                        ));
+                    }
                 }
             }
+            Err(e) => c.fail(format_args!("torn tail: store open (cut {cut}): {e}")),
         }
-        let _ = std::fs::write(last, &full);
+    }
+    if let Err(e) = std::fs::write(last, &full) {
+        c.fail(format_args!("torn tail: restore segment: {e}"));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScenarioGen;
 
     #[test]
-    fn store_checks_are_clean() {
+    fn store_cases_are_clean() {
         let gen = ScenarioGen::new(31);
-        let out = run_store_checks(&gen, 2, 3100);
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert!(out.cases_run >= 4);
+        for index in 0..2 {
+            let mut c = Case::new(&gen, 4, 3100, index);
+            check_case(&mut c);
+            assert!(c.failures.is_empty(), "{:?}", c.failures);
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! * 1-bit `ConcurrentCht` tables used to record NONCOLL outcomes that the
 //!   reference `Cht` never stores, flipping predictions.
 
-use copred_conform::{replay_batch_in_process, run_all, ConformConfig, ScenarioGen};
+use copred_conform::{run_all, ConformConfig, ScenarioGen};
 use copred_core::{Cht, ChtParams, Strategy};
 use copred_service::{SchedMode, SessionRegistry};
 use copred_swexec::ConcurrentCht;
@@ -21,7 +21,7 @@ fn default_scale_run_counts_enough_iterations() {
     // to keep test wall-time sane — the bin defaults are larger).
     let cfg = ConformConfig::default();
     assert!(
-        cfg.schedule_iters + cfg.service_traces + cfg.fault_cases >= 200,
+        cfg.cases[0] + cfg.cases[1] + cfg.cases[2] >= 200,
         "default config must clear the 200-iteration CI floor"
     );
 }
@@ -36,7 +36,7 @@ fn confusion_ledger_balances_under_early_exit() {
     let gen = ScenarioGen::new(77);
     for i in 0..12 {
         let trace = gen.query_trace(i);
-        replay_batch_in_process(&session, &trace.motions, 5);
+        copred_service::execute_batch(&session, &trace.motions, 5);
     }
     let m = &session.metrics;
     let confusion = m.true_pos.load(Ordering::Relaxed)
@@ -103,32 +103,27 @@ fn concurrent_cht_matches_reference_cht_across_counter_widths() {
 fn full_harness_finds_nothing_at_moderate_scale() {
     let report = run_all(&ConformConfig {
         seed: 0xBEEF,
-        schedule_iters: 40,
-        service_traces: 8,
-        fault_cases: 24,
-        store_cases: 2,
-        replay_cases: 2,
-        trace_cases: 1,
-        profile_cases: 1,
-        fleet_cases: 1,
+        cases: [40, 8, 24, 2, 2, 1, 1, 1],
     });
-    assert!(report.is_clean(), "{:?}", report.failures);
-    assert!(report.service_checks > 0);
-    assert!(report.fault_cases > 24, "live scenarios must run too");
     assert!(
-        report.store_cases >= 4,
+        report.is_clean(),
+        "{:?}",
+        report.failures().collect::<Vec<_>>()
+    );
+    let stage = |n: usize| report.stage(n).expect("stage ran");
+    assert!(stage(2).ops > 0, "service checks must be diffed");
+    assert!(stage(3).cases > 24, "live scenarios must run too");
+    assert!(
+        stage(4).cases == 2 && stage(4).ops > 0,
         "persistence scenarios must run too"
     );
-    assert!(
-        report.replay_cases == 2 && report.replay_ops > 0,
-        "record→replay scenarios must run too"
-    );
-    assert!(
-        report.profile_cases == 1 && report.profile_ops > 0,
-        "profiling-invisibility scenarios must run too"
-    );
-    assert!(
-        report.fleet_cases == 1 && report.fleet_ops > 0,
-        "fleet scenarios must run too"
-    );
+    for (n, what) in [
+        (5, "record→replay"),
+        (6, "tracing"),
+        (7, "profiling"),
+        (8, "fleet"),
+    ] {
+        assert!(stage(n).ops > 0, "{what} scenarios must run too");
+    }
+    assert_eq!(stage(5).cases, 2);
 }

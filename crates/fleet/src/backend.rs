@@ -3,11 +3,13 @@
 //!
 //! This is the harness shape the conformance suite and `copred_fleet`
 //! subcommands drive: replay a CPRDLOG through the router exactly like a
-//! single node, or [`FleetBackend::kill_backend`] mid-stream and watch
-//! the survivors pick the sessions up from replicated warm state.
+//! single node, or kill a backend mid-stream
+//! ([`FleetBackend::kill_backend`], [`FleetBackend::kill_owner_before`])
+//! and watch the survivors pick the sessions up from replicated warm
+//! state.
 
-use crate::router::Router;
-use copred_replay::ReplayBackend;
+use crate::router::{Router, SessionLedger};
+use copred_replay::{Ledger, ReplayBackend};
 use copred_service::protocol::{Request, Response};
 use copred_service::{Server, ServerConfig};
 use std::io;
@@ -26,6 +28,12 @@ pub struct FleetBackend {
     router: Router,
     root: PathBuf,
     label: String,
+    /// Requests answered through [`ReplayBackend::call`].
+    calls: usize,
+    /// Kill the live session's owner just before this request, if set.
+    kill_before: Option<usize>,
+    /// The most recently opened session.
+    live: u64,
 }
 
 impl FleetBackend {
@@ -76,6 +84,9 @@ impl FleetBackend {
             router: Router::new(&addrs),
             root,
             label: "fleet".to_string(),
+            calls: 0,
+            kill_before: None,
+            live: 0,
         })
     }
 
@@ -84,6 +95,22 @@ impl FleetBackend {
     pub fn labeled(mut self, label: &str) -> FleetBackend {
         self.label = label.to_string();
         self
+    }
+
+    /// Arms a mid-stream failure: just before the `op`-th request
+    /// (0-based) through [`ReplayBackend::call`], the backend owning the
+    /// most recently opened session is killed, so the rest of the stream
+    /// runs on a survivor.
+    #[must_use]
+    pub fn kill_owner_before(mut self, op: usize) -> FleetBackend {
+        self.kill_before = Some(op);
+        self
+    }
+
+    /// The router ledger of the most recently opened session (kept
+    /// after it closes).
+    pub fn last_session_ledger(&self) -> Option<&SessionLedger> {
+        self.router.ledger(self.live)
     }
 
     /// Backends in the fleet (dead ones included).
@@ -136,7 +163,23 @@ impl ReplayBackend for FleetBackend {
     }
 
     fn call(&mut self, req: &Request) -> Result<Response, String> {
-        self.router.call(req)
+        if self.kill_before == Some(self.calls) {
+            let owner = self
+                .router
+                .node_of(self.live)
+                .ok_or("session not routed at the kill point")?;
+            self.kill_backend(owner);
+        }
+        self.calls += 1;
+        let resp = self.router.call(req)?;
+        if let Response::Session { id, .. } = resp {
+            self.live = id;
+        }
+        Ok(resp)
+    }
+
+    fn ledgers(&self) -> Option<Vec<Ledger>> {
+        self.router.ledgers()
     }
 }
 

@@ -15,82 +15,25 @@
 //!
 //! verify  log=FILE [backends=2]
 //!     The CI fleet gate: the CPRDLOG must replay bit-identically
-//!     through a fresh fleet. Exits non-zero on any divergence.
+//!     through a fresh fleet, twice (determinism), with the router's
+//!     per-session ledgers equal to the recorded sums. Exits non-zero on
+//!     any divergence.
 //!
 //! ab      log=FILE [backends=2] [bench_json=PATH]
 //!     Replay one log against a single in-process node and a fleet,
-//!     and report the diff.
+//!     report the diff, and exit non-zero unless both answer every op
+//!     identically.
 //! ```
 
 use copred_fleet::{FleetBackend, Router};
-use copred_replay::{
-    ab_report, read_log_file, run_ab, run_replay, InProcessBackend, ReplayLog, ReplayOptions,
-    ReplayOutcome,
-};
+use copred_replay::cli::{load_log, print_outcome, Flags};
+use copred_replay::{ab_report, run_ab, Arm, Differential, InProcessBackend};
 use copred_service::protocol::{Request, Response, ServiceError};
 use copred_trace::frame::{read_text_frame, write_text_frame};
-use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::path::Path;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
-
-/// Parsed `key=value` arguments for one subcommand, validated against its
-/// flag table.
-#[derive(Debug)]
-struct Flags {
-    values: BTreeMap<String, String>,
-}
-
-impl Flags {
-    /// Parses `args`, rejecting keys outside `valid` with an error that
-    /// lists every flag the subcommand accepts.
-    fn parse(command: &str, args: &[String], valid: &[&str]) -> Result<Self, String> {
-        let mut values = BTreeMap::new();
-        for arg in args {
-            let (key, value) = arg
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got '{arg}'"))?;
-            if !valid.contains(&key) {
-                return Err(format!(
-                    "unknown flag '{key}' for '{command}' (valid flags: {})",
-                    valid.join(", ")
-                ));
-            }
-            values.insert(key.to_string(), value.to_string());
-        }
-        Ok(Flags { values })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing {key}=..."))
-    }
-
-    fn usize_or(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad number for {key}: '{v}'")),
-        }
-    }
-}
-
-fn load(flags: &Flags) -> Result<ReplayLog, String> {
-    let path = flags.require("log")?;
-    let log = read_log_file(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
-    if !log.complete {
-        return Err(format!(
-            "{path} has a torn tail; refusing a fleet gate on it"
-        ));
-    }
-    Ok(log)
-}
 
 /// Serves the wire protocol on `listener`, answering every frame through
 /// the shared router. Parse failures answer `err bad_request` on the
@@ -160,7 +103,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
 
 fn cmd_up(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("up", args, &["backends", "listen"])?;
-    let n = flags.usize_or("backends", 3)?;
+    let n = flags.u64_or("backends", 3)? as usize;
     if n == 0 {
         return Err("backends must be at least 1".to_string());
     }
@@ -181,54 +124,34 @@ fn cmd_up(args: &[String]) -> Result<(), String> {
     serve(listener, Arc::new(Mutex::new(router)))
 }
 
-fn print_outcome(label: &str, out: &ReplayOutcome) {
-    println!("backend        {label}");
-    println!("ops            {}", out.ops);
-    println!("checks         {}", out.checks);
-    println!("collisions     {}", out.collisions);
-    println!("cdqs_issued    {}", out.cdqs_issued);
-    println!("mismatches     {}", out.mismatches.len());
-    println!("backend_errors {}", out.backend_errors);
-    println!("wall_s         {:.3}", out.wall_ns as f64 / 1e9);
-    for d in out.mismatches.iter().take(5) {
-        eprintln!(
-            "mismatch at op {} ({} {}): expected {:?}, got {:?}",
-            d.idx, d.verb, d.tag, d.expected, d.actual
-        );
-    }
-    if out.mismatches.len() > 5 {
-        eprintln!("... and {} more mismatches", out.mismatches.len() - 5);
-    }
-}
-
 fn cmd_verify(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("verify", args, &["log", "backends"])?;
-    let log = load(&flags)?;
-    let n = flags.usize_or("backends", 2)?;
-    let opts = ReplayOptions::default(); // sequential, compare on
-
-    // Pass 1: bit-identity of a fleet replay against the recording.
+    let log = load_log(&flags, true)?;
+    let n = flags.u64_or("backends", 2)? as usize;
+    // Bit-identity of a fleet replay against the recording, and
+    // determinism: a second fresh fleet must answer exactly like the
+    // first (routing must not leak into responses).
     let mut fleet = FleetBackend::start(n).map_err(|e| format!("starting fleet: {e}"))?;
-    let first = run_replay(&log, &mut fleet, &opts).map_err(|e| e.to_string())?;
-    if !first.is_identical() {
-        print_outcome("fleet", &first);
-        return Err(format!(
-            "fleet replay diverged from the recording ({} mismatches)",
-            first.mismatches.len()
-        ));
+    let mut again = FleetBackend::start(n)
+        .map_err(|e| format!("starting fleet: {e}"))?
+        .labeled("rerun");
+    let ab = run_ab(Differential {
+        log: &log,
+        arms: vec![Arm::new(&mut fleet), Arm::new(&mut again)],
+    })
+    .map_err(|e| e.to_string())?;
+    let failures = ab.failures();
+    for f in &failures {
+        eprintln!("{f}");
+    }
+    if !failures.is_empty() {
+        return Err(format!("fleet replay: {} divergence(s)", failures.len()));
     }
     println!(
         "fleet({n})       identical ({} ops, {} checks)",
-        first.ops, first.checks
+        ab.first().out.ops,
+        ab.first().out.checks
     );
-
-    // Pass 2: determinism — a second fresh fleet must answer exactly
-    // like the first (routing must not leak into responses).
-    let mut fleet2 = FleetBackend::start(n).map_err(|e| format!("starting fleet: {e}"))?;
-    let second = run_replay(&log, &mut fleet2, &opts).map_err(|e| e.to_string())?;
-    if second.responses != first.responses {
-        return Err("two fleet replays of the same log diverged".to_string());
-    }
     println!("determinism    identical (double replay)");
     println!("verify         PASS");
     Ok(())
@@ -236,18 +159,24 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 
 fn cmd_ab(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("ab", args, &["log", "backends", "bench_json"])?;
-    let log = load(&flags)?;
-    let n = flags.usize_or("backends", 2)?;
-    let opts = ReplayOptions::default();
+    let log = load_log(&flags, true)?;
+    let n = flags.u64_or("backends", 2)? as usize;
     let mut single = InProcessBackend::with_server_defaults().labeled("single");
     let mut fleet = FleetBackend::start(n)
         .map_err(|e| format!("starting fleet: {e}"))?
         .labeled("fleet");
-    let ab = run_ab(&log, &mut single, &mut fleet, &opts).map_err(|e| e.to_string())?;
-    println!("=== single ===");
-    print_outcome(&ab.label_a, &ab.a);
-    println!("=== fleet({n}) ===");
-    print_outcome(&ab.label_b, &ab.b);
+    let ab = run_ab(Differential {
+        log: &log,
+        arms: vec![Arm::new(&mut single), Arm::new(&mut fleet)],
+    })
+    .map_err(|e| e.to_string())?;
+    for (name, arm) in ["single".to_string(), format!("fleet({n})")]
+        .iter()
+        .zip(&ab.arms)
+    {
+        println!("=== {name} ===");
+        print_outcome(&arm.label, &arm.out);
+    }
     println!("=== diff ===");
     println!("responses_identical {}", ab.responses_identical());
     println!("diverging_ops       {}", ab.diverging_ops().len());
@@ -290,39 +219,5 @@ fn main() -> ExitCode {
             let _ = std::io::stderr().flush();
             ExitCode::FAILURE
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn strs(argv: &[&str]) -> Vec<String> {
-        argv.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn unknown_flag_fails_fast_and_lists_valid_flags() {
-        let valid = &["log", "backends"];
-        let err = Flags::parse("verify", &strs(&["log=a.cprlog", "backend=2"]), valid).unwrap_err();
-        assert!(err.contains("unknown flag 'backend' for 'verify'"), "{err}");
-        for flag in valid {
-            assert!(err.contains(flag), "error should list {flag}: {err}");
-        }
-    }
-
-    #[test]
-    fn bare_word_is_an_error() {
-        let err = Flags::parse("ab", &strs(&["log"]), &["log"]).unwrap_err();
-        assert!(err.contains("expected key=value"), "{err}");
-    }
-
-    #[test]
-    fn numeric_flags_validate() {
-        let flags = Flags::parse("up", &strs(&["backends=4"]), &["backends", "listen"]).unwrap();
-        assert_eq!(flags.usize_or("backends", 3).unwrap(), 4);
-        assert_eq!(flags.usize_or("listen_missing_ok", 3).unwrap(), 3);
-        let bad = Flags::parse("up", &strs(&["backends=lots"]), &["backends"]).unwrap();
-        assert!(bad.usize_or("backends", 3).is_err());
     }
 }

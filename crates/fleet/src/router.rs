@@ -28,7 +28,7 @@
 //! migrated session's ledger against an unmigrated one.
 
 use crate::hash;
-use copred_replay::ReplayBackend;
+use copred_replay::{Ledger, ReplayBackend};
 use copred_service::protocol::{Request, Response, ServiceError};
 use copred_service::{fleet_stats, Metrics, ServiceClient};
 use copred_store::crc::crc32;
@@ -158,14 +158,6 @@ impl Router {
     /// The router's ledger for a session (kept after close).
     pub fn ledger(&self, session: u64) -> Option<&SessionLedger> {
         self.routes.get(&session).map(|r| &r.ledger)
-    }
-
-    /// Every ledger, in session order.
-    pub fn ledgers(&self) -> Vec<(u64, SessionLedger)> {
-        self.routes
-            .iter()
-            .map(|(&id, r)| (id, r.ledger.clone()))
-            .collect()
     }
 
     fn alive_nodes(&self) -> Vec<usize> {
@@ -583,5 +575,19 @@ impl ReplayBackend for Router {
 
     fn call(&mut self, req: &Request) -> Result<Response, String> {
         Router::call(self, req)
+    }
+
+    fn ledgers(&self) -> Option<Vec<Ledger>> {
+        Some(
+            self.routes
+                .values()
+                .map(|r| Ledger {
+                    checks: r.ledger.checks,
+                    collisions: r.ledger.collisions,
+                    cdqs_issued: r.ledger.cdqs_issued,
+                    cdqs_total: r.ledger.cdqs_total,
+                })
+                .collect(),
+        )
     }
 }

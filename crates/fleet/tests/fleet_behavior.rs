@@ -4,56 +4,22 @@
 //! session's gossip warms the whole fleet for the fingerprint's next
 //! life.
 
-use copred_fleet::FleetBackend;
-use copred_geometry::Vec3;
-use copred_kinematics::Config;
+use copred_fleet::{FleetBackend, SessionLedger};
 use copred_replay::{
-    normalize_response, run_ab, run_replay, InProcessBackend, LogMeta, LogRecord, ReplayBackend,
+    run_ab, run_replay, unrecorded_log, Arm, Differential, InProcessBackend, ReplayBackend,
     ReplayLog, ReplayOptions,
 };
 use copred_service::protocol::{Request, Response, SchedMode};
-use copred_trace::{MotionTrace, Stage, TraceCdq};
-
-/// A deterministic synthetic motion; `salt` varies poses, CDQ centers,
-/// and ground truth so distinct motions exercise distinct CHT entries
-/// while repeated salts re-hit learned ones.
-fn synthetic_motion(salt: u64) -> MotionTrace {
-    let f = |k: u64| ((salt.wrapping_mul(31).wrapping_add(k) % 200) as f64 - 100.0) / 100.0;
-    let poses: Vec<Config> = (0..3)
-        .map(|p| Config::new(vec![f(p * 2), f(p * 2 + 1)]))
-        .collect();
-    let mut cdqs = Vec::new();
-    for pose_idx in 0..poses.len() as u32 {
-        for link_idx in 0..2u32 {
-            let k = u64::from(pose_idx * 2 + link_idx);
-            cdqs.push(TraceCdq {
-                pose_idx,
-                link_idx,
-                center: Vec3::new(f(k + 10), f(k + 20), 0.0),
-                colliding: (salt + k).is_multiple_of(3),
-                obstacle_tests: 1 + (k % 4) as u32,
-            });
-        }
-    }
-    MotionTrace {
-        stage: if salt.is_multiple_of(2) {
-            Stage::Explore
-        } else {
-            Stage::Validate
-        },
-        poses,
-        cdqs,
-    }
-}
+use copred_trace::MotionTrace;
 
 fn batch(salts: std::ops::Range<u64>) -> Vec<MotionTrace> {
-    salts.map(synthetic_motion).collect()
+    salts.map(MotionTrace::synthetic).collect()
 }
 
-/// The op stream both migration arms drive: one fingerprinted session,
-/// batches arranged so late batches revisit early salts (predictions by
-/// then depend on learned warm state).
-fn migration_ops(fp: u64) -> Vec<Request> {
+/// The op stream both migration arms drive: one fingerprinted session
+/// (log token 0), batches arranged so late batches revisit early salts
+/// (predictions by then depend on learned warm state).
+fn migration_log(fp: u64) -> ReplayLog {
     let mut ops = vec![Request::Open {
         robot: "planar-2d".to_string(),
         link_count: 2,
@@ -72,67 +38,51 @@ fn migration_ops(fp: u64) -> Vec<Request> {
         });
     }
     ops.push(Request::Close { session: 0 });
-    ops
-}
-
-/// Drives `ops` against a fleet, rewriting the placeholder session token
-/// to the one the open answered, killing `kill_after_op` (when set)
-/// backends-of-the-session once that many ops completed. Returns the
-/// normalized responses and the session's router ledger.
-fn drive(
-    fleet: &mut FleetBackend,
-    ops: &[Request],
-    kill_after_op: Option<usize>,
-) -> (Vec<String>, copred_fleet::SessionLedger) {
-    let mut live = 0u64;
-    let mut responses = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        if kill_after_op == Some(i) {
-            let owner = fleet.router().node_of(live).expect("session routed");
-            fleet.kill_backend(owner);
-        }
-        let mut op = op.clone();
-        match &mut op {
-            Request::CheckMotion { session, .. } | Request::Close { session } => *session = live,
-            _ => {}
-        }
-        let resp = fleet.call(&op).expect("fleet answers");
-        if let Response::Session { id, .. } = resp {
-            live = id;
-        }
-        responses.push(normalize_response(&resp.to_text()));
-    }
-    let ledger = fleet
-        .router()
-        .ledger(live)
-        .expect("ledger survives close")
-        .clone();
-    (responses, ledger)
+    unrecorded_log(ops.into_iter().map(|op| (0, op)).collect())
 }
 
 #[test]
 fn migrated_session_replays_bit_identically_to_unmigrated() {
-    let fp = 0xFEE7_BEEF_0001;
-    let ops = migration_ops(fp);
-
+    let log = migration_log(0xFEE7_BEEF_0001);
     let mut calm = FleetBackend::start(2).expect("start calm fleet");
-    let (calm_responses, calm_ledger) = drive(&mut calm, &ops, None);
-
-    // Kill the session's owner after op 4 (open + three check batches
+    // Kill the session's owner before op 4 (open + three check batches
     // absorbed into the replica): the remaining batches — including the
     // rounds that revisit learned salts — run on the survivor.
-    let mut stormy = FleetBackend::start(2).expect("start stormy fleet");
-    let (stormy_responses, stormy_ledger) = drive(&mut stormy, &ops, Some(4));
+    let mut stormy = FleetBackend::start(2)
+        .expect("start stormy fleet")
+        .labeled("migrated")
+        .kill_owner_before(4);
+    let opts = ReplayOptions {
+        compare: false,
+        ..ReplayOptions::default()
+    };
+    let ab = run_ab(Differential {
+        log: &log,
+        arms: vec![
+            Arm {
+                backend: &mut calm,
+                opts,
+            },
+            Arm {
+                backend: &mut stormy,
+                opts,
+            },
+        ],
+    })
+    .expect("ab");
+    assert!(
+        ab.failures().is_empty(),
+        "migration changed the response stream: {:?}",
+        ab.failures()
+    );
 
+    let calm_ledger = calm.last_session_ledger().expect("ledger survives close");
+    let stormy_ledger = stormy.last_session_ledger().expect("ledger survives close");
     assert_eq!(stormy_ledger.migrations, 1, "the kill must migrate");
     assert_eq!(
-        calm_responses, stormy_responses,
-        "migration changed the response stream"
-    );
-    assert_eq!(
-        calm_ledger,
-        copred_fleet::SessionLedger {
-            migrations: stormy_ledger.migrations - 1,
+        *calm_ledger,
+        SessionLedger {
+            migrations: 0,
             ..stormy_ledger.clone()
         },
         "migration changed the session ledger"
@@ -191,11 +141,10 @@ fn close_gossip_warms_survivors_for_the_next_session() {
 fn fleet_replays_a_log_identically_to_a_single_node() {
     // Recorded the usual way: synthesize requests, harvest responses
     // from a single default node, call that the recording.
-    let mut requests: Vec<(u64, &'static str, Request)> = Vec::new();
+    let mut requests: Vec<(u64, Request)> = Vec::new();
     for token in 0..3u64 {
         requests.push((
             token,
-            "open",
             Request::Open {
                 robot: "planar-2d".to_string(),
                 link_count: 2,
@@ -207,7 +156,6 @@ fn fleet_replays_a_log_identically_to_a_single_node() {
         for round in 0..3u64 {
             requests.push((
                 token,
-                "check_motion",
                 Request::CheckMotion {
                     session: token,
                     motions: batch(token * 50 + round * 4..token * 50 + round * 4 + 4),
@@ -215,33 +163,9 @@ fn fleet_replays_a_log_identically_to_a_single_node() {
                 },
             ));
         }
-        requests.push((token, "close", Request::Close { session: token }));
+        requests.push((token, Request::Close { session: token }));
     }
-    let mut log = ReplayLog {
-        meta: LogMeta {
-            seed: 5,
-            fingerprint: 0,
-            robot: "planar-2d".to_string(),
-            workload: "synthetic".to_string(),
-            scale: format!("ops={}", requests.len()),
-        },
-        records: requests
-            .into_iter()
-            .enumerate()
-            .map(|(i, (token, verb, req))| LogRecord {
-                idx: i as u64,
-                session: token,
-                start_ns: i as u64 * 1_000,
-                duration_ns: 0,
-                verb: verb.to_string(),
-                status: "ok".to_string(),
-                tag: format!("trace{token}"),
-                request: req.to_text(),
-                response: String::new(),
-            })
-            .collect(),
-        complete: true,
-    };
+    let mut log = unrecorded_log(requests);
     let harvest = run_replay(
         &log,
         &mut InProcessBackend::with_server_defaults(),
@@ -258,13 +182,17 @@ fn fleet_replays_a_log_identically_to_a_single_node() {
 
     let mut single = InProcessBackend::with_server_defaults();
     let mut fleet = FleetBackend::start(2).expect("start fleet");
-    let ab = run_ab(&log, &mut single, &mut fleet, &ReplayOptions::default()).expect("ab");
+    let ab = run_ab(Differential {
+        log: &log,
+        arms: vec![Arm::new(&mut single), Arm::new(&mut fleet)],
+    })
+    .expect("ab");
     assert!(
         ab.responses_identical(),
         "fleet diverged from single node at ops {:?}",
         ab.diverging_ops()
     );
-    assert!(ab.a.is_identical() && ab.b.is_identical());
+    assert!(ab.failures().is_empty(), "{:?}", ab.failures());
 }
 
 #[test]

@@ -7,6 +7,7 @@
 //! frame/queue/worker path), and — through the same trait — a future
 //! fleet of remote servers.
 
+use crate::engine::Ledger;
 use copred_core::ChtParams;
 use copred_service::protocol::{Request, Response, ServiceError};
 use copred_service::{
@@ -14,6 +15,7 @@ use copred_service::{
 };
 use std::io;
 use std::net::ToSocketAddrs;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A target that can answer recorded requests. Implementations absorb
@@ -31,6 +33,14 @@ pub trait ReplayBackend {
     /// human-readable reason. Protocol-level failures are `Ok` carrying
     /// [`Response::Error`].
     fn call(&mut self, req: &Request) -> Result<Response, String>;
+
+    /// Per-session metrics ledgers for every session this backend opened,
+    /// in open order — what the differential engine holds against the
+    /// recording and the other arms. `None` when the backend cannot see
+    /// its sessions' metrics (a remote server forgets closed sessions).
+    fn ledgers(&self) -> Option<Vec<Ledger>> {
+        None
+    }
 }
 
 /// Replays against an in-process [`SessionRegistry`], executing batches
@@ -54,8 +64,14 @@ impl InProcessBackend {
     /// Panics when `capacity` is zero or not a power of two (the shard
     /// pool invariant).
     pub fn new(params: ChtParams, capacity: usize, csp_step: usize) -> Self {
+        Self::over(SessionRegistry::new(params, capacity), csp_step)
+    }
+
+    /// A backend over an existing registry (e.g. one with a store
+    /// attached) with an explicit CSP stride.
+    pub fn over(registry: SessionRegistry, csp_step: usize) -> Self {
         InProcessBackend {
-            registry: SessionRegistry::new(params, capacity),
+            registry,
             csp_step,
             opened: Vec::new(),
             label: "inproc".to_string(),
@@ -92,6 +108,23 @@ impl InProcessBackend {
 impl ReplayBackend for InProcessBackend {
     fn label(&self) -> &str {
         &self.label
+    }
+
+    fn ledgers(&self) -> Option<Vec<Ledger>> {
+        Some(
+            self.opened
+                .iter()
+                .map(|s| {
+                    let m = &s.metrics;
+                    Ledger {
+                        checks: m.checks.load(Ordering::Relaxed),
+                        collisions: m.collisions.load(Ordering::Relaxed),
+                        cdqs_issued: m.cdqs_issued.load(Ordering::Relaxed),
+                        cdqs_total: m.cdqs_total.load(Ordering::Relaxed),
+                    }
+                })
+                .collect(),
+        )
     }
 
     fn call(&mut self, req: &Request) -> Result<Response, String> {

@@ -17,20 +17,14 @@
 //!
 //! verify      log=FILE [skip_loopback=0]
 //!     The CI replay gate: the log must replay bit-identically against a
-//!     default in-process backend AND a loopback server, and two
-//!     in-process replays must answer identically (determinism). Exits
+//!     default in-process backend AND a loopback server, two in-process
+//!     replays must answer identically (determinism), and the in-process
+//!     per-session metrics ledgers must equal the recorded sums. Exits
 //!     non-zero on any divergence.
 //!
 //! ab          log=FILE [a=inproc] [b=loopback] [mode=sequential]
 //!             [speed=2.0] [bench_json=PATH]
 //!     Replay one log against two backends and report the diff.
-//!
-//! export-tsv  log=FILE tsv=FILE
-//!     Convert a CPRDLOG to the legacy self-describing TSV op-log.
-//!
-//! import-tsv  tsv=FILE log=FILE [robot=NAME] [fp=HEX]
-//!     Convert a legacy TSV op-log to CPRDLOG (the TSV carries no robot
-//!     or fingerprint, so supply them).
 //!
 //! sanitize    log=FILE out=FILE [gap_ns=1000000]
 //!     Normalize timestamps for committing: start_ns becomes
@@ -38,67 +32,15 @@
 //!     machines while timing-mode replays still have faithful gaps.
 //! ```
 
+use copred_replay::cli::{load_log, print_outcome, Flags};
 use copred_replay::{
-    ab_report, read_log_file, run_ab, run_replay, Clock, InProcessBackend, LogMeta, LogWriter,
+    ab_report, run_ab, run_replay, Arm, Clock, Differential, InProcessBackend, LogWriter,
     LoopbackBackend, ReplayBackend, ReplayLog, ReplayMode, ReplayOptions, ReplayOutcome,
 };
-use copred_service::{parse_oplog, write_oplog, OplogMeta, ServerConfig};
+use copred_service::ServerConfig;
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::path::Path;
 use std::process::ExitCode;
-
-/// Parsed `key=value` arguments for one subcommand, validated against its
-/// flag table.
-#[derive(Debug)]
-struct Flags {
-    values: BTreeMap<String, String>,
-}
-
-impl Flags {
-    /// Parses `args`, rejecting keys outside `valid` with an error that
-    /// lists every flag the subcommand accepts.
-    fn parse(command: &str, args: &[String], valid: &[&str]) -> Result<Self, String> {
-        let mut values = BTreeMap::new();
-        for arg in args {
-            let (key, value) = arg
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got '{arg}'"))?;
-            if !valid.contains(&key) {
-                return Err(format!(
-                    "unknown flag '{key}' for '{command}' (valid flags: {})",
-                    valid.join(", ")
-                ));
-            }
-            values.insert(key.to_string(), value.to_string());
-        }
-        Ok(Flags { values })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing {key}=..."))
-    }
-
-    fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad number for {key}: '{v}'")),
-        }
-    }
-
-    fn bool_or(&self, key: &str, default: bool) -> bool {
-        match self.get(key) {
-            None => default,
-            Some(v) => v == "1" || v == "true",
-        }
-    }
-}
 
 fn parse_mode(flags: &Flags) -> Result<ReplayMode, String> {
     Ok(match flags.get("mode").unwrap_or("sequential") {
@@ -152,44 +94,9 @@ fn make_backend(spec: &str) -> Result<Box<dyn ReplayBackend>, String> {
     }
 }
 
-fn load(flags: &Flags) -> Result<ReplayLog, String> {
-    let path = flags.require("log")?;
-    let log = read_log_file(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))?;
-    if !log.complete {
-        eprintln!(
-            "copred_replay: note: {path} has a torn tail; replaying the clean prefix ({} records)",
-            log.records.len()
-        );
-    }
-    Ok(log)
-}
-
-fn print_outcome(label: &str, out: &ReplayOutcome) {
-    println!("backend        {label}");
-    println!("ops            {}", out.ops);
-    println!("checks         {}", out.checks);
-    println!("collisions     {}", out.collisions);
-    println!("cdqs_issued    {}", out.cdqs_issued);
-    println!("cdqs_total     {}", out.cdqs_total);
-    println!("mismatches     {}", out.mismatches.len());
-    println!("backend_errors {}", out.backend_errors);
-    println!("wall_s         {:.3}", out.wall_ns as f64 / 1e9);
-    println!("lag_ms         {:.3}", out.lag_ns as f64 / 1e6);
-    println!("checks_per_s   {:.1}", out.checks_per_sec());
-    for d in out.mismatches.iter().take(5) {
-        eprintln!(
-            "mismatch at op {} ({} {}): expected {:?}, got {:?}",
-            d.idx, d.verb, d.tag, d.expected, d.actual
-        );
-    }
-    if out.mismatches.len() > 5 {
-        eprintln!("... and {} more mismatches", out.mismatches.len() - 5);
-    }
-}
-
 fn cmd_info(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("info", args, &["log"])?;
-    let log = load(&flags)?;
+    let log = load_log(&flags, false)?;
     println!("format         CPRDLOG v{}", copred_replay::LOG_VERSION);
     println!("seed           {}", log.meta.seed);
     println!("fingerprint    {:#018x}", log.meta.fingerprint);
@@ -228,7 +135,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "trace_seed",
         ],
     )?;
-    let log = load(&flags)?;
+    let log = load_log(&flags, false)?;
     let trace_seed = match flags.get("trace_seed") {
         None => None,
         Some(_) => Some(flags.u64_or("trace_seed", 0)?),
@@ -301,58 +208,44 @@ fn run_report(
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("verify", args, &["log", "skip_loopback"])?;
-    let log = load(&flags)?;
-    if !log.complete {
-        return Err("refusing to verify a torn log".to_string());
-    }
-    let opts = ReplayOptions::default(); // sequential, compare on
-
-    // Pass 1: bit-identity against a default in-process backend.
+    let log = load_log(&flags, true)?;
     let mut inproc = InProcessBackend::with_server_defaults();
-    let first = run_replay(&log, &mut inproc, &opts).map_err(|e| e.to_string())?;
-    if !first.is_identical() {
-        print_outcome("inproc", &first);
-        return Err(format!(
-            "in-process replay diverged from the recording ({} mismatches)",
-            first.mismatches.len()
-        ));
-    }
-    println!(
-        "inproc         identical ({} ops, {} checks)",
-        first.ops, first.checks
-    );
-
-    // Pass 2: determinism — a second fresh in-process replay must answer
-    // exactly like the first.
-    let mut inproc2 = InProcessBackend::with_server_defaults();
-    let second = run_replay(&log, &mut inproc2, &opts).map_err(|e| e.to_string())?;
-    if second.responses != first.responses {
-        return Err("two in-process replays of the same log diverged".to_string());
-    }
-    println!("determinism    identical (double replay)");
-
-    // Pass 3: bit-identity over the wire.
-    if flags.bool_or("skip_loopback", false) {
-        println!("loopback       skipped");
+    let mut again = InProcessBackend::with_server_defaults().labeled("rerun");
+    let mut loopback = if flags.bool_or("skip_loopback", false) {
+        None
     } else {
         let cfg = ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             ..ServerConfig::default()
         };
-        let mut loopback = LoopbackBackend::start(cfg).map_err(|e| e.to_string())?;
-        let wire = run_replay(&log, &mut loopback, &opts).map_err(|e| e.to_string())?;
-        if !wire.is_identical() {
-            print_outcome("loopback", &wire);
-            return Err(format!(
-                "loopback replay diverged from the recording ({} mismatches)",
-                wire.mismatches.len()
-            ));
-        }
+        Some(LoopbackBackend::start(cfg).map_err(|e| e.to_string())?)
+    };
+    let mut arms = vec![Arm::new(&mut inproc)];
+    if let Some(l) = loopback.as_mut() {
+        arms.push(Arm::new(l));
+    }
+    arms.push(Arm::new(&mut again));
+    let ab = run_ab(Differential { log: &log, arms }).map_err(|e| e.to_string())?;
+    let failures = ab.failures();
+    for f in &failures {
+        eprintln!("{f}");
+    }
+    if !failures.is_empty() {
+        return Err(format!(
+            "{} divergence(s) in the replay gate",
+            failures.len()
+        ));
+    }
+    for arm in ab.arms.iter().filter(|a| a.label != "rerun") {
         println!(
-            "loopback       identical ({} ops, {} checks)",
-            wire.ops, wire.checks
+            "{:<14} identical ({} ops, {} checks)",
+            arm.label, arm.out.ops, arm.out.checks
         );
     }
+    if loopback.is_none() {
+        println!("loopback       skipped");
+    }
+    println!("determinism    identical (double replay)");
     println!("verify         PASS");
     Ok(())
 }
@@ -363,7 +256,7 @@ fn cmd_ab(args: &[String]) -> Result<(), String> {
         args,
         &["log", "a", "b", "mode", "speed", "bench_json"],
     )?;
-    let log = load(&flags)?;
+    let log = load_log(&flags, false)?;
     let opts = ReplayOptions {
         mode: parse_mode(&flags)?,
         compare: true,
@@ -371,20 +264,34 @@ fn cmd_ab(args: &[String]) -> Result<(), String> {
     };
     let mut a = make_backend(flags.get("a").unwrap_or("inproc"))?;
     let mut b = make_backend(flags.get("b").unwrap_or("loopback"))?;
-    let ab = run_ab(&log, a.as_mut(), b.as_mut(), &opts).map_err(|e| e.to_string())?;
-    println!("=== A ===");
-    print_outcome(&ab.label_a, &ab.a);
-    println!("=== B ===");
-    print_outcome(&ab.label_b, &ab.b);
-    let diverging = ab.diverging_ops();
+    let ab = run_ab(Differential {
+        log: &log,
+        arms: vec![
+            Arm {
+                backend: a.as_mut(),
+                opts,
+            },
+            Arm {
+                backend: b.as_mut(),
+                opts,
+            },
+        ],
+    })
+    .map_err(|e| e.to_string())?;
+    for (name, arm) in ["A", "B"].iter().zip(&ab.arms) {
+        println!("=== {name} ===");
+        print_outcome(&arm.label, &arm.out);
+    }
     println!("=== diff ===");
     println!("responses_identical {}", ab.responses_identical());
-    println!("diverging_ops       {}", diverging.len());
-    if ab.a.wall_ns > 0 {
-        println!(
-            "wall_b_over_a       {:.3}",
-            ab.b.wall_ns as f64 / ab.a.wall_ns as f64
-        );
+    println!("diverging_ops       {}", ab.diverging_ops().len());
+    if let [a, b] = ab.arms.as_slice() {
+        if a.out.wall_ns > 0 {
+            println!(
+                "wall_b_over_a       {:.3}",
+                b.out.wall_ns as f64 / a.out.wall_ns as f64
+            );
+        }
     }
     if let Some(path) = flags.get("bench_json") {
         let report = ab_report(&log, &ab, "replay_ab");
@@ -394,45 +301,9 @@ fn cmd_ab(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export_tsv(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse("export-tsv", args, &["log", "tsv"])?;
-    let log = load(&flags)?;
-    let tsv = flags.require("tsv")?;
-    let ops: Vec<_> = log.records.iter().map(|r| r.to_op_record()).collect();
-    let text = write_oplog(&log.meta.to_oplog_meta(), &ops);
-    std::fs::write(tsv, text).map_err(|e| format!("writing {tsv}: {e}"))?;
-    println!("exported       {} records -> {tsv}", ops.len());
-    Ok(())
-}
-
-fn cmd_import_tsv(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse("import-tsv", args, &["tsv", "log", "robot", "fp"])?;
-    let tsv_path = flags.require("tsv")?;
-    let out_path = flags.require("log")?;
-    let text = std::fs::read_to_string(tsv_path).map_err(|e| format!("reading {tsv_path}: {e}"))?;
-    let (meta, ops): (OplogMeta, Vec<_>) = parse_oplog(&text).map_err(|e| e.to_string())?;
-    let fp = match flags.get("fp") {
-        None => 0,
-        Some(hex) => u64::from_str_radix(hex.trim_start_matches("0x"), 16)
-            .map_err(|_| format!("bad fingerprint hex '{hex}'"))?,
-    };
-    let log_meta = LogMeta::from_oplog_meta(&meta, flags.get("robot").unwrap_or(""), fp);
-    let file = std::fs::File::create(out_path).map_err(|e| format!("creating {out_path}: {e}"))?;
-    let mut w = LogWriter::new(std::io::BufWriter::new(file), &log_meta)
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
-    for op in &ops {
-        w.append(&copred_replay::LogRecord::from_op_record(op))
-            .map_err(|e| format!("writing {out_path}: {e}"))?;
-    }
-    let n = w.count();
-    w.finish().map_err(|e| format!("sealing {out_path}: {e}"))?;
-    println!("imported       {n} records -> {out_path}");
-    Ok(())
-}
-
 fn cmd_sanitize(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("sanitize", args, &["log", "out", "gap_ns"])?;
-    let log = load(&flags)?;
+    let log = load_log(&flags, false)?;
     let out_path = flags.require("out")?;
     let gap_ns = flags.u64_or("gap_ns", 1_000_000)?;
     let file = std::fs::File::create(out_path).map_err(|e| format!("creating {out_path}: {e}"))?;
@@ -452,8 +323,7 @@ fn cmd_sanitize(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-const USAGE: &str =
-    "usage: copred_replay <info|run|verify|ab|export-tsv|import-tsv|sanitize> [key=value ...]";
+const USAGE: &str = "usage: copred_replay <info|run|verify|ab|sanitize> [key=value ...]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -466,8 +336,6 @@ fn main() -> ExitCode {
         "run" => cmd_run(rest),
         "verify" => cmd_verify(rest),
         "ab" => cmd_ab(rest),
-        "export-tsv" => cmd_export_tsv(rest),
-        "import-tsv" => cmd_import_tsv(rest),
         "sanitize" => cmd_sanitize(rest),
         other => {
             eprintln!("copred_replay: unknown command '{other}'\n{USAGE}");
@@ -488,39 +356,17 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn strs(argv: &[&str]) -> Vec<String> {
-        argv.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
-    fn unknown_flag_fails_fast_and_lists_valid_flags() {
-        let valid = &["log", "backend", "mode"];
-        let err =
-            Flags::parse("run", &strs(&["log=a.cprlog", "bakend=inproc"]), valid).unwrap_err();
-        assert!(err.contains("unknown flag 'bakend' for 'run'"), "{err}");
-        for flag in valid {
-            assert!(err.contains(flag), "error should list {flag}: {err}");
-        }
-    }
-
-    #[test]
-    fn known_flags_parse() {
-        let flags = Flags::parse(
-            "run",
-            &strs(&["log=a.cprlog", "mode=scaled", "speed=4"]),
-            &["log", "mode", "speed"],
-        )
-        .unwrap();
+    fn scaled_mode_parses_its_speed() {
+        let args: Vec<String> = ["log=a.cprlog", "mode=scaled", "speed=4"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let flags = Flags::parse("run", &args, &["log", "mode", "speed"]).unwrap();
         assert_eq!(flags.get("log"), Some("a.cprlog"));
         assert!(matches!(
             parse_mode(&flags),
             Ok(ReplayMode::Scaled { factor }) if factor == 4.0
         ));
-    }
-
-    #[test]
-    fn bare_word_is_an_error() {
-        let err = Flags::parse("info", &strs(&["log"]), &["log"]).unwrap_err();
-        assert!(err.contains("expected key=value"), "{err}");
     }
 }

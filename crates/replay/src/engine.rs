@@ -11,7 +11,7 @@
 use crate::backend::ReplayBackend;
 use crate::format::ReplayLog;
 use copred_obs::TraceId;
-use copred_service::protocol::{Request, Response};
+use copred_service::protocol::{CheckResult, Request, Response};
 use copred_service::replay_stats;
 use std::collections::HashMap;
 use std::fmt;
@@ -149,6 +149,33 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
+/// Check sums for one session or a whole run: what a replay must
+/// reproduce of the recording, and what a backend's metrics must agree
+/// with.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger {
+    /// Motion checks answered.
+    pub checks: u64,
+    /// Checks that reported a collision.
+    pub collisions: u64,
+    /// CDQs executed.
+    pub cdqs_issued: u64,
+    /// CDQs the checked motions declared.
+    pub cdqs_total: u64,
+}
+
+impl Ledger {
+    /// Folds one batch of wire results in.
+    pub fn add(&mut self, results: &[CheckResult]) {
+        for r in results {
+            self.checks += 1;
+            self.collisions += u64::from(r.colliding);
+            self.cdqs_issued += r.cdqs_executed;
+            self.cdqs_total += r.cdqs_total;
+        }
+    }
+}
+
 /// What one replay pass produced.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayOutcome {
@@ -186,6 +213,16 @@ impl ReplayOutcome {
         self.mismatches.is_empty() && self.backend_errors == 0
     }
 
+    /// The pass's check aggregates as one [`Ledger`].
+    pub fn totals(&self) -> Ledger {
+        Ledger {
+            checks: self.checks,
+            collisions: self.collisions,
+            cdqs_issued: self.cdqs_issued,
+            cdqs_total: self.cdqs_total,
+        }
+    }
+
     /// Checks per second over the pass's wall time.
     pub fn checks_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
@@ -193,6 +230,31 @@ impl ReplayOutcome {
         }
         self.checks as f64 * 1e9 / self.wall_ns as f64
     }
+}
+
+/// Removes every ` trace <hex128>` token from a wire string, leaving all
+/// other bytes untouched. Non-token occurrences of the word stay as-is.
+pub fn strip_trace_token(s: &str) -> String {
+    const NEEDLE: &str = " trace ";
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(pos) = rest.find(NEEDLE) {
+        let (head, tail) = rest.split_at(pos);
+        out.push_str(head);
+        let after = &tail[NEEDLE.len()..];
+        let hex_len = after.bytes().take_while(|b| b.is_ascii_hexdigit()).count();
+        let boundary = after[hex_len..].is_empty()
+            || after[hex_len..].starts_with('\n')
+            || after[hex_len..].starts_with(' ');
+        if hex_len == 32 && boundary {
+            rest = &after[hex_len..];
+        } else {
+            out.push_str(NEEDLE);
+            rest = after;
+        }
+    }
+    out.push_str(rest);
+    out
 }
 
 /// Normalizes a response payload for comparison: session tokens are
@@ -561,6 +623,34 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn strip_removes_only_well_formed_tokens() {
+        let tok = "0123456789abcdef0123456789abcdef";
+        assert_eq!(
+            strip_trace_token(&format!("check_motion 7 2 trace {tok}\n")),
+            "check_motion 7 2\n"
+        );
+        assert_eq!(
+            strip_trace_token(&format!("ok results 2 trace {tok}\n")),
+            "ok results 2\n"
+        );
+        // Too short, too long, or non-hex: untouched.
+        assert_eq!(strip_trace_token("a trace 0123\n"), "a trace 0123\n");
+        let long = format!("a trace {tok}0\n");
+        assert_eq!(strip_trace_token(&long), long);
+        assert_eq!(strip_trace_token("a trace zzzz\n"), "a trace zzzz\n");
+        // Multiple tokens in one string.
+        assert_eq!(
+            strip_trace_token(&format!("x trace {tok} y trace {tok}\n")),
+            "x y\n"
+        );
+        // No token at all: identity.
+        assert_eq!(
+            strip_trace_token("open baxter 7 coord 3\n"),
+            "open baxter 7 coord 3\n"
+        );
     }
 
     #[test]

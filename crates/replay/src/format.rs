@@ -19,7 +19,7 @@
 //! footer whose count or checksum disagrees — is a structured
 //! [`ReplayLogError`], never a panic.
 
-use copred_service::{OpRecord, OplogMeta};
+use copred_store::crc::{crc32, crc32_update, CRC32_INIT};
 use std::fmt;
 use std::io::{self, Write};
 
@@ -56,90 +56,9 @@ pub struct LogMeta {
     pub scale: String,
 }
 
-impl LogMeta {
-    /// Projects onto the legacy TSV op-log metadata (drops the robot and
-    /// fingerprint fields, which the TSV format predates).
-    pub fn to_oplog_meta(&self) -> OplogMeta {
-        OplogMeta {
-            seed: self.seed,
-            workload: self.workload.clone(),
-            scale: self.scale.clone(),
-        }
-    }
-
-    /// Lifts TSV op-log metadata, supplying the fields the TSV lacks.
-    pub fn from_oplog_meta(m: &OplogMeta, robot: &str, fingerprint: u64) -> Self {
-        LogMeta {
-            seed: m.seed,
-            fingerprint,
-            robot: robot.to_string(),
-            workload: m.workload.clone(),
-            scale: m.scale.clone(),
-        }
-    }
-}
-
-/// One recorded wire operation: the full request and (final) response
-/// payload text plus the timing envelope — everything needed to re-issue
-/// the op and check the answer bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    /// Global operation index in recorded completion order.
-    pub idx: u64,
-    /// Session token the recording run saw (replays remap it).
-    pub session: u64,
-    /// Start time as nanoseconds since the run epoch; monotonically
-    /// non-decreasing across the log.
-    pub start_ns: u64,
-    /// Wall time from write to parsed reply.
-    pub duration_ns: u64,
-    /// Wire verb (`open`, `check_motion`, `close`, ...).
-    pub verb: String,
-    /// Recorded outcome (`ok`, `retry_after`, `err`).
-    pub status: String,
-    /// Recorder session tag, e.g. `conn0/trace2` — stable across replays
-    /// where the server-assigned token is not.
-    pub tag: String,
-    /// Request payload text as sent on the wire.
-    pub request: String,
-    /// Response payload text as received (final reply after any
-    /// `retry_after` rounds).
-    pub response: String,
-}
-
-impl LogRecord {
-    /// Lifts a TSV [`OpRecord`] (lossless: the TSV carries every field).
-    pub fn from_op_record(op: &OpRecord) -> Self {
-        LogRecord {
-            idx: op.idx,
-            session: op.session,
-            start_ns: op.start_ns,
-            duration_ns: op.duration_ns,
-            verb: op.verb.clone(),
-            status: op.status.clone(),
-            tag: op.tag.clone(),
-            request: op.request.clone(),
-            response: op.response.clone(),
-        }
-    }
-
-    /// Projects onto a TSV [`OpRecord`] (`bytes` is recomputed from the
-    /// request payload, exactly as the recorder computes it).
-    pub fn to_op_record(&self) -> OpRecord {
-        OpRecord {
-            idx: self.idx,
-            session: self.session,
-            verb: self.verb.clone(),
-            bytes: self.request.len() as u64,
-            start_ns: self.start_ns,
-            duration_ns: self.duration_ns,
-            status: self.status.clone(),
-            tag: self.tag.clone(),
-            request: self.request.clone(),
-            response: self.response.clone(),
-        }
-    }
-}
+/// One recorded wire operation. The struct lives next to the load
+/// generator that produces it; CPRDLOG is its only serialization.
+pub use copred_service::LogRecord;
 
 /// Why a log failed to read. Truncation is *not* here — a torn tail
 /// yields an `Ok` prefix with [`ReplayLog::complete`] `== false`.
@@ -207,52 +126,6 @@ pub struct ReplayLog {
     pub complete: bool,
 }
 
-/// Incremental CRC-32 (IEEE 802.3, reflected 0xEDB88320) — bit-identical
-/// to `copred_store::crc::crc32` but streamable, so the writer checksums
-/// as it goes instead of buffering the whole log.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// A fresh checksum.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Folds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.state;
-        for &b in bytes {
-            c ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = (c & 1).wrapping_neg();
-                c = (c >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-        self.state = c;
-    }
-
-    /// The checksum of everything folded so far.
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
-}
-
-/// One-shot convenience over [`Crc32`].
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
-
 fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
@@ -303,7 +176,8 @@ fn encode_footer(count: u64, crc: u32) -> Vec<u8> {
 #[derive(Debug)]
 pub struct LogWriter<W: Write> {
     out: io::BufWriter<W>,
-    crc: Crc32,
+    /// Running CRC register over everything written so far.
+    crc: u32,
     count: u64,
     finished: bool,
 }
@@ -316,8 +190,7 @@ impl<W: Write> LogWriter<W> {
     /// Any write failure.
     pub fn new(sink: W, meta: &LogMeta) -> io::Result<Self> {
         let header = encode_header(meta);
-        let mut crc = Crc32::new();
-        crc.update(&header);
+        let crc = crc32_update(CRC32_INIT, &header);
         let mut out = io::BufWriter::new(sink);
         out.write_all(&header)?;
         Ok(LogWriter {
@@ -350,7 +223,7 @@ impl<W: Write> LogWriter<W> {
             }
         }
         let block = encode_record(rec);
-        self.crc.update(&block);
+        self.crc = crc32_update(self.crc, &block);
         self.out.write_all(&block)?;
         self.count += 1;
         Ok(())
@@ -374,7 +247,7 @@ impl<W: Write> LogWriter<W> {
         if self.finished {
             return Ok(());
         }
-        let footer = encode_footer(self.count, self.crc.finish());
+        let footer = encode_footer(self.count, !self.crc);
         self.out.write_all(&footer)?;
         self.out.flush()?;
         self.finished = true;
@@ -776,15 +649,5 @@ mod tests {
             read_log(&bad).unwrap_err(),
             ReplayLogError::Corrupt { .. } | ReplayLogError::FooterMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn op_record_conversion_is_lossless() {
-        let rec = records(2).pop().unwrap();
-        let back = LogRecord::from_op_record(&rec.to_op_record());
-        assert_eq!(back, rec);
-        let m = meta();
-        let lifted = LogMeta::from_oplog_meta(&m.to_oplog_meta(), &m.robot, m.fingerprint);
-        assert_eq!(lifted, m);
     }
 }

@@ -22,8 +22,12 @@
 //! [`engine::OpDiff`]s — the bit-identity signal the conformance
 //! harness and the CI replay gate assert on.
 //!
-//! [`ab`] replays one log against two backends and rolls the differences
-//! into a `bench_json` report.
+//! [`ab`] is the differential engine: one log against N backends, with
+//! divergences from the recording, between backends, across a
+//! determinism re-run, and in the per-session metrics ledgers collected
+//! in one outcome (and rolled into a `bench_json` report on request).
+//! Its [`record`] helper turns a live single-connection loadgen run into
+//! a log.
 //!
 //! ## Format stability
 //!
@@ -38,14 +42,15 @@
 
 pub mod ab;
 pub mod backend;
+pub mod cli;
 pub mod engine;
 pub mod format;
 
-pub use ab::{ab_report, run_ab, AbOutcome};
+pub use ab::{ab_report, record, run_ab, unrecorded_log, AbOutcome, Arm, ArmOutcome, Differential};
 pub use backend::{InProcessBackend, LoopbackBackend, ReplayBackend};
 pub use engine::{
-    normalize_response, run_replay, Clock, OpDiff, ReplayError, ReplayMode, ReplayOptions,
-    ReplayOutcome,
+    normalize_response, run_replay, strip_trace_token, Clock, Ledger, OpDiff, ReplayError,
+    ReplayMode, ReplayOptions, ReplayOutcome,
 };
 pub use format::{
     read_log, read_log_file, write_log, LogMeta, LogRecord, LogWriter, ReplayLog, ReplayLogError,

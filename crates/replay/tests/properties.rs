@@ -4,19 +4,18 @@
 //! clean prefix, replay of one log is deterministic down to the metrics
 //! ledger, and scaled mode preserves op order at every speed factor.
 
-use copred_geometry::Vec3;
-use copred_kinematics::Config;
-use copred_replay::format::{crc32, encode_header, encode_record, read_log, write_log};
+use copred_replay::format::{encode_header, encode_record, read_log, write_log};
 use copred_replay::{
-    run_replay, Clock, InProcessBackend, LogMeta, LogRecord, ReplayLog, ReplayLogError, ReplayMode,
-    ReplayOptions,
+    run_ab, run_replay, unrecorded_log, Arm, Clock, Differential, InProcessBackend, LogMeta,
+    LogRecord, ReplayLog, ReplayLogError, ReplayMode, ReplayOptions,
 };
 use copred_service::protocol::{Request, Response, SchedMode};
-use copred_trace::{MotionTrace, Stage, TraceCdq};
+use copred_store::crc::{crc32, crc32_update, CRC32_INIT};
+use copred_trace::MotionTrace;
 use proptest::prelude::*;
 
-/// Characters chosen to stress the string encoding: ASCII, the TSV
-/// escapes, multi-byte UTF-8, and quotes.
+/// Characters chosen to stress the string encoding: ASCII, whitespace
+/// and backslash, multi-byte UTF-8, and quotes.
 const PALETTE: &[char] = &[
     'a', 'Z', '0', ' ', '\t', '\n', '\r', '\\', '"', '=', 'é', '日', '🦀',
 ];
@@ -121,8 +120,12 @@ proptest! {
     #[test]
     fn incremental_crc_matches_store_crc(
         data in prop::collection::vec(any::<u8>(), 0..200),
+        cut in 0usize..200,
     ) {
-        prop_assert_eq!(crc32(&data), copred_store::crc::crc32(&data));
+        // The log writer's streamed checksum equals the one-shot CRC the
+        // reader verifies, wherever the stream is split.
+        let (a, b) = data.split_at(cut.min(data.len()));
+        prop_assert_eq!(!crc32_update(crc32_update(CRC32_INIT, a), b), crc32(&data));
     }
 
     #[test]
@@ -136,49 +139,17 @@ proptest! {
     }
 }
 
-/// A deterministic synthetic motion: `salt` varies poses, CDQ centers,
-/// and ground truth so distinct motions exercise distinct CHT entries.
-fn synthetic_motion(salt: u64) -> MotionTrace {
-    let f = |k: u64| ((salt.wrapping_mul(31).wrapping_add(k) % 200) as f64 - 100.0) / 100.0;
-    let poses: Vec<Config> = (0..3)
-        .map(|p| Config::new(vec![f(p * 2), f(p * 2 + 1)]))
-        .collect();
-    let mut cdqs = Vec::new();
-    for pose_idx in 0..poses.len() as u32 {
-        for link_idx in 0..2u32 {
-            let k = u64::from(pose_idx * 2 + link_idx);
-            cdqs.push(TraceCdq {
-                pose_idx,
-                link_idx,
-                center: Vec3::new(f(k + 10), f(k + 20), 0.0),
-                colliding: (salt + k).is_multiple_of(3),
-                obstacle_tests: 1 + (k % 4) as u32,
-            });
-        }
-    }
-    MotionTrace {
-        stage: if salt.is_multiple_of(2) {
-            Stage::Explore
-        } else {
-            Stage::Validate
-        },
-        poses,
-        cdqs,
-    }
-}
-
 /// Builds a replayable log the way the recorder would, without a live
 /// server: synthesize the requests, replay them once (comparison off)
 /// against a default in-process backend, and write the harvested
 /// responses back as the "recording".
 fn recorded_log(seed: u64) -> ReplayLog {
-    let mut requests: Vec<(u64, &'static str, Request)> = Vec::new();
+    let mut requests: Vec<(u64, Request)> = Vec::new();
     for trace in 0..2u64 {
         // Recorded session tokens are arbitrary; the engine remaps them.
         let token = 70 + trace;
         requests.push((
             token,
-            "open",
             Request::Open {
                 robot: "planar-2d".to_string(),
                 link_count: 2,
@@ -189,11 +160,10 @@ fn recorded_log(seed: u64) -> ReplayLog {
         ));
         for batch in 0..2u64 {
             let motions: Vec<MotionTrace> = (0..2)
-                .map(|m| synthetic_motion(seed + trace * 100 + batch * 10 + m))
+                .map(|m| MotionTrace::synthetic(seed + trace * 100 + batch * 10 + m))
                 .collect();
             requests.push((
                 token,
-                "check_motion",
                 Request::CheckMotion {
                     session: token,
                     motions,
@@ -201,33 +171,10 @@ fn recorded_log(seed: u64) -> ReplayLog {
                 },
             ));
         }
-        requests.push((token, "close", Request::Close { session: token }));
+        requests.push((token, Request::Close { session: token }));
     }
-    let mut log = ReplayLog {
-        meta: LogMeta {
-            seed,
-            fingerprint: 0,
-            robot: "planar-2d".to_string(),
-            workload: "synthetic".to_string(),
-            scale: format!("ops={}", requests.len()),
-        },
-        records: requests
-            .into_iter()
-            .enumerate()
-            .map(|(i, (token, verb, req))| LogRecord {
-                idx: i as u64,
-                session: token,
-                start_ns: i as u64 * 1_000,
-                duration_ns: 0,
-                verb: verb.to_string(),
-                status: "ok".to_string(),
-                tag: format!("trace{token}"),
-                request: req.to_text(),
-                response: String::new(),
-            })
-            .collect(),
-        complete: true,
-    };
+    let mut log = unrecorded_log(requests);
+    log.meta.seed = seed;
     let mut backend = InProcessBackend::with_server_defaults();
     let opts = ReplayOptions {
         mode: ReplayMode::Sequential,
@@ -242,23 +189,6 @@ fn recorded_log(seed: u64) -> ReplayLog {
     log
 }
 
-/// One session's metrics ledger, snapshot for comparison.
-fn ledger(backend: &InProcessBackend) -> Vec<(u64, u64, u64, u64)> {
-    use std::sync::atomic::Ordering;
-    backend
-        .opened()
-        .iter()
-        .map(|s| {
-            (
-                s.metrics.checks.load(Ordering::Relaxed),
-                s.metrics.cdqs_issued.load(Ordering::Relaxed),
-                s.metrics.cdqs_total.load(Ordering::Relaxed),
-                s.metrics.collisions.load(Ordering::Relaxed),
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn replay_is_deterministic_down_to_the_ledger() {
     let log = recorded_log(0xD5EED);
@@ -266,34 +196,19 @@ fn replay_is_deterministic_down_to_the_ledger() {
     // hold for the *serialized* artifact, not the in-memory value.
     let log = read_log(&write_log(&log.meta, &log.records)).expect("roundtrip");
 
-    let opts = ReplayOptions::default();
+    // Bit-identical to the recording, both times, with equal aggregates
+    // and per-session metrics ledgers.
     let mut first = InProcessBackend::with_server_defaults();
-    let mut second = InProcessBackend::with_server_defaults();
-    let out1 = run_replay(&log, &mut first, &opts).expect("replay 1");
-    let out2 = run_replay(&log, &mut second, &opts).expect("replay 2");
-
-    // Bit-identical to the recording, both times.
-    assert!(out1.is_identical(), "mismatches: {:?}", out1.mismatches);
-    assert!(out2.is_identical(), "mismatches: {:?}", out2.mismatches);
-    assert_eq!(out1.responses, out2.responses);
-    assert_eq!(
-        (
-            out1.checks,
-            out1.collisions,
-            out1.cdqs_issued,
-            out1.cdqs_total
-        ),
-        (
-            out2.checks,
-            out2.collisions,
-            out2.cdqs_issued,
-            out2.cdqs_total
-        )
-    );
-    // And the per-session metrics ledgers agree entry for entry.
-    let l1 = ledger(&first);
-    assert_eq!(l1, ledger(&second));
-    assert!(!l1.is_empty() && l1.iter().any(|&(checks, ..)| checks > 0));
+    let mut second = InProcessBackend::with_server_defaults().labeled("rerun");
+    let ab = run_ab(Differential {
+        log: &log,
+        arms: vec![Arm::new(&mut first), Arm::new(&mut second)],
+    })
+    .expect("replay");
+    assert!(ab.failures().is_empty(), "{:?}", ab.failures());
+    let ledgers = ab.first().ledgers.clone().expect("in-process ledgers");
+    assert_eq!(ledgers, ab.recorded_ledgers);
+    assert!(ledgers.len() == 2 && ledgers.iter().all(|l| l.checks > 0));
 }
 
 proptest! {

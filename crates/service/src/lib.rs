@@ -23,27 +23,24 @@
 //!   explicit backpressure (`err retry_after`).
 //! - [`client`] — a small blocking client used by tests and the load
 //!   generator.
-//! - [`loadgen`] + [`oplog`] — closed-/open-loop load generation over
-//!   captured [`copred_trace::QueryTrace`] workloads with a
-//!   self-describing TSV op-log that records full request/response
-//!   payloads (the `copred-replay` crate's lossless TSV interchange).
+//! - [`loadgen`] — closed-/open-loop load generation over captured
+//!   [`copred_trace::QueryTrace`] workloads. Every wire op is recorded as
+//!   a [`LogRecord`] with its full request/response payloads; the
+//!   `copred-replay` crate writes those records as a CPRDLOG op-log.
 
 pub mod client;
 pub mod loadgen;
 pub mod metrics;
-pub mod oplog;
 pub mod prom;
 pub mod protocol;
 pub mod server;
 pub mod session;
 
 pub use client::ServiceClient;
-pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, Pacing, StatsSnapshot};
-pub use metrics::{LatencyHistogram, Metrics, SessionMetrics};
-pub use oplog::{
-    parse_oplog, write_oplog, write_stats_tsv, OpRecord, OplogError, OplogMeta, OplogWriter,
-    OPLOG_MAGIC, OPLOG_VERSION,
+pub use loadgen::{
+    run_loadgen, write_stats_tsv, LoadgenConfig, LoadgenReport, LogRecord, Pacing, StatsSnapshot,
 };
+pub use metrics::{LatencyHistogram, Metrics, SessionMetrics};
 pub use prom::{
     fleet_stats, render_prometheus, replay_stats, FleetStats, ReplayStats, FLEET_COUNTERS,
     GLOBAL_COUNTERS, REPLAY_COUNTERS, SESSION_COUNTERS, STORE_COUNTERS, TRACE_COUNTERS,

@@ -8,19 +8,50 @@
 //! on a fixed interval regardless of reply latency (latency-under-load
 //! probe), absorbing `retry_after` backpressure by sleeping as told.
 //!
-//! Every wire operation is recorded as an [`OpRecord`]; the merged,
+//! Every wire operation is recorded as a [`LogRecord`]; the merged,
 //! time-sorted log plus aggregate counters come back in a
-//! [`LoadgenReport`].
+//! [`LoadgenReport`]. `copred-replay` serializes the same records as its
+//! CPRDLOG container.
 
 use crate::client::ServiceClient;
-use crate::oplog::OpRecord;
 use crate::protocol::{Request, Response, SchedMode};
 use copred_obs::TraceId;
 use copred_trace::QueryTrace;
+use std::fmt::Write as _;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// One recorded wire operation: the full request and (final) response
+/// payload text plus the timing envelope — everything needed to re-issue
+/// the op and check the answer bit-for-bit. This is the one op record in
+/// the workspace: the load generator produces it and `copred-replay`
+/// writes and reads it as CPRDLOG.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogRecord {
+    /// Global operation index in recorded completion order.
+    pub idx: u64,
+    /// Session token the recording run saw (replays remap it).
+    pub session: u64,
+    /// Start time as nanoseconds since the run epoch; monotonically
+    /// non-decreasing across the log.
+    pub start_ns: u64,
+    /// Wall time from write to parsed reply.
+    pub duration_ns: u64,
+    /// Wire verb (`open`, `check_motion`, `close`, ...).
+    pub verb: String,
+    /// Recorded outcome (`ok`, `retry_after`, `err`).
+    pub status: String,
+    /// Recorder session tag, e.g. `conn0/trace2` — stable across replays
+    /// where the server-assigned token is not.
+    pub tag: String,
+    /// Request payload text as sent on the wire.
+    pub request: String,
+    /// Response payload text as received (final reply after any
+    /// `retry_after` rounds).
+    pub response: String,
+}
 
 /// One periodic sample of the server's global stats during a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +134,7 @@ impl Default for LoadgenConfig {
 #[derive(Debug, Clone, Default)]
 pub struct LoadgenReport {
     /// All operations, sorted by start time and reindexed.
-    pub ops: Vec<OpRecord>,
+    pub ops: Vec<LogRecord>,
     /// Motion checks completed.
     pub checks: u64,
     /// Checks that reported a collision.
@@ -134,7 +165,7 @@ impl LoadgenReport {
 }
 
 struct ConnOutcome {
-    ops: Vec<OpRecord>,
+    ops: Vec<LogRecord>,
     checks: u64,
     collisions: u64,
     cdqs_issued: u64,
@@ -232,7 +263,7 @@ fn sample_stats(
             // Rewrite the whole (small) sidecar after every sample: a
             // killed run keeps its latest complete copy, never a torn one.
             let tmp = format!("{path}.tmp");
-            std::fs::write(&tmp, crate::oplog::write_stats_tsv(&snapshots))?;
+            std::fs::write(&tmp, write_stats_tsv(&snapshots))?;
             std::fs::rename(&tmp, path)?;
         }
         if stopping {
@@ -367,18 +398,79 @@ fn op(
     response: String,
     start_ns: u64,
     end_ns: u64,
-) -> OpRecord {
-    let request = req.to_text();
-    OpRecord {
+) -> LogRecord {
+    LogRecord {
         idx: 0, // assigned after the global sort
         session,
         verb: verb.to_string(),
-        bytes: request.len() as u64,
         start_ns,
         duration_ns: end_ns.saturating_sub(start_ns),
         status: "ok".to_string(),
         tag: tag.to_string(),
-        request,
+        request: req.to_text(),
         response,
+    }
+}
+
+/// Renders periodic stats snapshots as the `metrics_interval=` sidecar
+/// TSV: `elapsed_ns` plus one column per stat key, keys taken from the
+/// first snapshot (all snapshots of one run share the server's fixed key
+/// order). Empty input renders an empty string.
+pub fn write_stats_tsv(snapshots: &[StatsSnapshot]) -> String {
+    let Some(first) = snapshots.first() else {
+        return String::new();
+    };
+    let mut out = String::new();
+    out.push_str("elapsed_ns");
+    for (k, _) in &first.stats {
+        out.push('\t');
+        out.push_str(k);
+    }
+    out.push('\n');
+    for snap in snapshots {
+        let _ = write!(out, "{}", snap.elapsed_ns);
+        for (k, _) in &first.stats {
+            let v = snap
+                .stats
+                .iter()
+                .find(|(key, _)| key == k)
+                .map_or("", |(_, v)| v.as_str());
+            out.push('\t');
+            out.push_str(v);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_tsv_has_header_and_aligned_columns() {
+        let snaps = vec![
+            StatsSnapshot {
+                elapsed_ns: 1_000,
+                stats: vec![
+                    ("checks".into(), "10".into()),
+                    ("cdqs_issued".into(), "40".into()),
+                ],
+            },
+            StatsSnapshot {
+                elapsed_ns: 2_000,
+                stats: vec![
+                    ("checks".into(), "25".into()),
+                    ("cdqs_issued".into(), "90".into()),
+                ],
+            },
+        ];
+        let text = write_stats_tsv(&snaps);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "elapsed_ns\tchecks\tcdqs_issued");
+        assert_eq!(lines[1], "1000\t10\t40");
+        assert_eq!(lines[2], "2000\t25\t90");
+        assert_eq!(lines.len(), 3);
+        assert_eq!(write_stats_tsv(&[]), "");
     }
 }

@@ -3,66 +3,13 @@
 //! predictor-ordered scheduler issues fewer CDQs than the naive order on
 //! the same workload.
 
-use copred_geometry::Vec3;
-use copred_kinematics::Config;
+mod common;
+
+use common::synthetic_traces;
 use copred_service::client::stat_u64;
 use copred_service::protocol::SchedMode;
-use copred_service::{
-    parse_oplog, run_loadgen, write_oplog, LoadgenConfig, Pacing, Server, ServerConfig,
-    ServiceClient,
-};
-use copred_trace::{MotionTrace, QueryTrace, Stage, TraceCdq};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Synthetic planar workload: motions are straight-line sweeps through
-/// [-1, 1]², a disc obstacle of radius 0.35 sits at the origin, and the
-/// CDQ centers equal the poses — so collision history is spatially
-/// coherent and a COORD predictor can learn it.
-fn synthetic_traces(n_traces: usize, motions_per_trace: usize, seed: u64) -> Vec<QueryTrace> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n_traces)
-        .map(|_| {
-            let motions = (0..motions_per_trace)
-                .map(|_| {
-                    let (ax, ay) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
-                    let (bx, by) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
-                    let n_poses = 8;
-                    let poses: Vec<Config> = (0..n_poses)
-                        .map(|i| {
-                            let t = i as f64 / (n_poses - 1) as f64;
-                            Config::new(vec![ax + t * (bx - ax), ay + t * (by - ay)])
-                        })
-                        .collect();
-                    let cdqs = poses
-                        .iter()
-                        .enumerate()
-                        .map(|(i, q)| {
-                            let c = Vec3::new(q[0], q[1], 0.0);
-                            TraceCdq {
-                                pose_idx: i as u32,
-                                link_idx: 0,
-                                center: c,
-                                colliding: (c.x * c.x + c.y * c.y).sqrt() < 0.35,
-                                obstacle_tests: 1,
-                            }
-                        })
-                        .collect();
-                    MotionTrace {
-                        stage: Stage::Explore,
-                        poses,
-                        cdqs,
-                    }
-                })
-                .collect();
-            QueryTrace {
-                robot_name: "planar-2d".to_string(),
-                link_count: 1,
-                motions,
-            }
-        })
-        .collect()
-}
+use copred_service::{run_loadgen, LoadgenConfig, Pacing, Server, ServerConfig, ServiceClient};
+use copred_trace::QueryTrace;
 
 fn loadgen_config(addr: std::net::SocketAddr, mode: SchedMode) -> LoadgenConfig {
     LoadgenConfig {
@@ -155,7 +102,7 @@ fn coord_issues_fewer_cdqs_than_naive_and_runs_are_deterministic() {
 }
 
 #[test]
-fn server_stats_match_client_side_sums_and_oplog_roundtrips() {
+fn server_stats_match_client_side_sums_and_oplog_covers_every_op() {
     let traces = synthetic_traces(4, 10, 9);
     let server = Server::start(ServerConfig::default()).expect("start server");
     let addr = server.local_addr();
@@ -168,29 +115,22 @@ fn server_stats_match_client_side_sums_and_oplog_roundtrips() {
     assert_eq!(stat_u64(&kv, "checks"), Some(report.checks));
     assert!(stat_u64(&kv, "latency_p50_ns").unwrap() > 0);
 
-    // The op-log covers every wire operation and roundtrips through TSV.
+    // The op-log covers every wire operation, in start order, with
+    // replayable payloads (its CPRDLOG round-trip is copred-replay's).
     let n_batches: usize = traces.iter().map(|t| t.motions.len().div_ceil(4)).sum();
+    let ops = &report.ops;
     assert_eq!(
-        report.ops.len(),
+        ops.len(),
         traces.len() * 2 + n_batches,
         "open+close+batches"
     );
-    let meta = copred_service::OplogMeta {
-        seed: 1,
-        workload: "synthetic".to_string(),
-        scale: "traces=4".to_string(),
-    };
-    let text = write_oplog(&meta, &report.ops);
-    let (back_meta, back) = parse_oplog(&text).expect("parse op-log");
-    assert_eq!(back_meta, meta);
-    assert_eq!(back, report.ops);
     assert!(
-        back.windows(2).all(|w| w[0].start_ns <= w[1].start_ns),
+        ops.windows(2).all(|w| w[0].start_ns <= w[1].start_ns),
         "sorted by start"
     );
-    assert!(back.iter().all(|op| op.bytes > 0));
+    assert!(ops.iter().enumerate().all(|(i, op)| op.idx == i as u64));
     assert!(
-        back.iter()
+        ops.iter()
             .all(|op| !op.tag.is_empty() && !op.request.is_empty() && !op.response.is_empty()),
         "every record carries replayable payloads"
     );

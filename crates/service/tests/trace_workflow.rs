@@ -4,62 +4,19 @@
 //! and the `/debug/flight` endpoint — to a Chrome trace carrying the full
 //! decode→predict→schedule→execute→encode span chain.
 
-use copred_geometry::Vec3;
-use copred_kinematics::Config;
+mod common;
+
+use common::synthetic_traces;
 use copred_obs::{http_get, parse_prometheus};
 use copred_service::protocol::SchedMode;
 use copred_service::{run_loadgen, LoadgenConfig, Pacing, Server, ServerConfig, ServiceClient};
-use copred_trace::{MotionTrace, QueryTrace, Stage, TraceCdq};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 
-/// Planar synthetic workload (same shape as the loopback tests): sweeps
-/// through [-1, 1]² against a disc obstacle, CDQ centers on the poses.
-fn synthetic_traces(n_traces: usize, motions_per_trace: usize, seed: u64) -> Vec<QueryTrace> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n_traces)
-        .map(|_| {
-            let motions = (0..motions_per_trace)
-                .map(|_| {
-                    let (ax, ay) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
-                    let (bx, by) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
-                    let n_poses = 8;
-                    let poses: Vec<Config> = (0..n_poses)
-                        .map(|i| {
-                            let t = i as f64 / (n_poses - 1) as f64;
-                            Config::new(vec![ax + t * (bx - ax), ay + t * (by - ay)])
-                        })
-                        .collect();
-                    let cdqs = poses
-                        .iter()
-                        .enumerate()
-                        .map(|(i, q)| {
-                            let c = Vec3::new(q[0], q[1], 0.0);
-                            TraceCdq {
-                                pose_idx: i as u32,
-                                link_idx: 0,
-                                center: c,
-                                colliding: (c.x * c.x + c.y * c.y).sqrt() < 0.35,
-                                obstacle_tests: 1,
-                            }
-                        })
-                        .collect();
-                    MotionTrace {
-                        stage: Stage::Explore,
-                        poses,
-                        cdqs,
-                    }
-                })
-                .collect();
-            QueryTrace {
-                robot_name: "planar-2d".to_string(),
-                link_count: 1,
-                motions,
-            }
-        })
-        .collect()
-}
+/// Span rings are process-global: a second `trace_dump` server running
+/// concurrently drains (and so steals) the first one's spans. Tests that
+/// start one take this lock.
+static TRACE_DUMP_SERVER: Mutex<()> = Mutex::new(());
 
 fn loadgen_config(addr: std::net::SocketAddr) -> LoadgenConfig {
     LoadgenConfig {
@@ -86,6 +43,7 @@ fn event_chunks(body: &str) -> Vec<&str> {
 
 #[test]
 fn exemplar_trace_id_resolves_to_full_span_chain() {
+    let _serial = TRACE_DUMP_SERVER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("copred-trace-workflow-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::start(ServerConfig {
@@ -174,6 +132,7 @@ fn exemplar_trace_id_resolves_to_full_span_chain() {
 
 #[test]
 fn latency_threshold_fires_auto_dump() {
+    let _serial = TRACE_DUMP_SERVER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("copred-auto-dump-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::start(ServerConfig {

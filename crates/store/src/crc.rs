@@ -25,13 +25,23 @@ const fn build_table() -> [u32; 256] {
     table
 }
 
-/// CRC-32/IEEE of `bytes` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+/// The CRC register before any byte is folded in.
+pub const CRC32_INIT: u32 = 0xFFFF_FFFF;
+
+/// Folds `bytes` into a running CRC register, for checksumming a stream
+/// chunk by chunk: start from [`CRC32_INIT`], fold the chunks in order,
+/// and the final `!state` equals [`crc32`] of their concatenation.
+pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let mut c = state;
     for &b in bytes {
         c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC-32/IEEE of `bytes` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(CRC32_INIT, bytes)
 }
 
 #[cfg(test)]

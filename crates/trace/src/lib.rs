@@ -83,6 +83,39 @@ pub struct MotionTrace {
 }
 
 impl MotionTrace {
+    /// A deterministic synthetic planar-2d motion (3 poses × 2 links) for
+    /// harnesses that need no planner: `salt` varies the poses, CDQ
+    /// centers, and ground truth, so distinct salts exercise distinct CHT
+    /// entries while repeated salts re-hit learned ones.
+    pub fn synthetic(salt: u64) -> MotionTrace {
+        let f = |k: u64| ((salt.wrapping_mul(31).wrapping_add(k) % 200) as f64 - 100.0) / 100.0;
+        let poses: Vec<Config> = (0..3)
+            .map(|p| Config::new(vec![f(p * 2), f(p * 2 + 1)]))
+            .collect();
+        let mut cdqs = Vec::new();
+        for pose_idx in 0..poses.len() as u32 {
+            for link_idx in 0..2u32 {
+                let k = u64::from(pose_idx * 2 + link_idx);
+                cdqs.push(TraceCdq {
+                    pose_idx,
+                    link_idx,
+                    center: Vec3::new(f(k + 10), f(k + 20), 0.0),
+                    colliding: (salt + k).is_multiple_of(3),
+                    obstacle_tests: 1 + (k % 4) as u32,
+                });
+            }
+        }
+        MotionTrace {
+            stage: if salt.is_multiple_of(2) {
+                Stage::Explore
+            } else {
+                Stage::Validate
+            },
+            poses,
+            cdqs,
+        }
+    }
+
     /// Whether any CDQ collides.
     pub fn colliding(&self) -> bool {
         self.cdqs.iter().any(|c| c.colliding)
