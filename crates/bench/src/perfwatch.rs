@@ -18,15 +18,12 @@ use copred_accel::{
 use copred_collision::{Environment, Schedule};
 use copred_core::{ChtParams, CoordHash};
 use copred_geometry::{Aabb, Vec3};
-use copred_geometry::{BatchObb, Obb, OBB_LANES};
 use copred_kinematics::{presets, Motion, Robot};
 use copred_obs::{BenchRecord, BenchReport, Better};
 use copred_planners::{MotionRecord, PlanLog, Stage};
 use copred_service::protocol::SchedMode;
 use copred_service::{run_loadgen, LoadgenConfig, Pacing, Server, ServerConfig};
-use copred_swexec::{
-    run_cpu, run_cpu_batched, run_gpu_model, CpuExecConfig, GpuModelParams, MOTION_LANES,
-};
+use copred_swexec::{run_cpu, run_gpu_model, CpuExecConfig, GpuModelParams, MOTION_LANES};
 use copred_trace::{MotionTrace, QueryTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -166,7 +163,6 @@ pub fn run_suites(cfg: &PerfwatchConfig) -> BenchReport {
     let mut report = BenchReport::new(&cfg.label, &git_sha(), cfg.seed, cfg.scale_name());
     schedule_suite(cfg, &mut report.records);
     swexec_suite(cfg, &mut report.records);
-    swexec_batch_suite(cfg, &mut report.records);
     service_suite(cfg, &mut report.records);
     fleet_suite(cfg, &mut report.records);
     store_suite(cfg, &mut report.records);
@@ -324,163 +320,6 @@ fn swexec_suite(cfg: &PerfwatchConfig, out: &mut Vec<BenchRecord>) {
         "gpu_cdqs_saved_frac",
         1.0 - gpu_pred.cdqs as f64 / gpu_base.cdqs.max(1) as f64,
         "fraction",
-        Better::Higher,
-    ));
-}
-
-/// Swexec-batch suite: the SoA/SWAR hot path against its scalar
-/// reference. Deterministic records pin bit-equivalence (the batched
-/// single-threaded replay must reproduce the scalar CDQ count and
-/// colliding-motion count exactly); timing records measure the full
-/// environment CDQ path (transpose + broad phase + SAT) scalar vs 8-lane
-/// batched over the workload's enumerated link OBBs, the pure
-/// lane-parallel AABB kernel the same way, the resulting speedups, and
-/// batched replay throughput. The two speedups bracket the story: the
-/// AABB kernel is straight-line lane math (the clean SoA win), while the
-/// full path also carries the AoS→SoA transpose and competes against the
-/// scalar cascade's first-hit early exits.
-fn swexec_batch_suite(cfg: &PerfwatchConfig, out: &mut Vec<BenchRecord>) {
-    let (robot, env, motions) = sim_workload(cfg.sim_motions(), cfg.seed);
-    let poses: Vec<Vec<copred_kinematics::Config>> =
-        motions.iter().map(|m| m.poses.clone()).collect();
-    let exec_cfg = CpuExecConfig {
-        n_threads: 1,
-        with_prediction: true,
-        cht_params: ChtParams::paper_2d(),
-        seed: cfg.seed,
-    };
-
-    // Deterministic: batched replay equals the scalar reference.
-    let scalar = run_cpu(&robot, &env, &poses, &exec_cfg);
-    let batched = run_cpu_batched(&robot, &env, &poses, &exec_cfg);
-    out.push(BenchRecord::deterministic(
-        "swexec_batch",
-        "batch_cdqs_1t",
-        batched.cdqs_executed as f64,
-        "cdqs",
-        Better::Lower,
-    ));
-    out.push(BenchRecord::deterministic(
-        "swexec_batch",
-        "batch_matches_scalar",
-        f64::from(u8::from(
-            batched.cdqs_executed == scalar.cdqs_executed
-                && batched.colliding_motions == scalar.colliding_motions,
-        )),
-        "bool",
-        Better::Higher,
-    ));
-
-    // The raw-SAT kernel corpus: every link OBB of every pose, flattened.
-    let obbs: Vec<Obb> = poses
-        .iter()
-        .flat_map(|ps| ps.iter())
-        .flat_map(|q| robot.fk(q).links.into_iter().map(|l| l.obb))
-        .collect();
-    let passes = if cfg.quick { 40 } else { 120 };
-
-    // Per-rep paired measurement so the speedup ratio samples see the same
-    // machine state in both arms.
-    let mut scalar_tp = Vec::with_capacity(cfg.reps);
-    let mut batch_tp = Vec::with_capacity(cfg.reps);
-    let mut speedup = Vec::with_capacity(cfg.reps);
-    for _ in 0..cfg.reps.max(1) {
-        let t0 = std::time::Instant::now();
-        for _ in 0..passes {
-            for obb in &obbs {
-                std::hint::black_box(env.obb_collides_with_cost(std::hint::black_box(obb)));
-            }
-        }
-        let scalar_s = t0.elapsed().as_secs_f64().max(1e-9);
-
-        let t1 = std::time::Instant::now();
-        for _ in 0..passes {
-            for chunk in obbs.chunks(OBB_LANES) {
-                let batch = BatchObb::from_obbs(chunk);
-                std::hint::black_box(
-                    env.obb_collides_batch_with_cost(std::hint::black_box(&batch)),
-                );
-            }
-        }
-        let batch_s = t1.elapsed().as_secs_f64().max(1e-9);
-
-        let cdqs = (obbs.len() * passes) as f64;
-        scalar_tp.push(cdqs / scalar_s);
-        batch_tp.push(cdqs / batch_s);
-        speedup.push(scalar_s / batch_s);
-    }
-    out.push(BenchRecord::timing(
-        "swexec_batch",
-        "sat_scalar_cdq_per_s",
-        &scalar_tp,
-        "cdq_per_s",
-        Better::Higher,
-    ));
-    out.push(BenchRecord::timing(
-        "swexec_batch",
-        "sat_batch_cdq_per_s",
-        &batch_tp,
-        "cdq_per_s",
-        Better::Higher,
-    ));
-    out.push(BenchRecord::timing(
-        "swexec_batch",
-        "sat_batch_speedup",
-        &speedup,
-        "ratio",
-        Better::Higher,
-    ));
-
-    // Paired AABB-kernel measurement: scalar `Obb::aabb` vs lane-parallel
-    // `BatchObb::aabbs` over prebuilt batches. No early exits on either
-    // side, so this isolates the lane-parallel arithmetic win.
-    let batches: Vec<BatchObb> = obbs.chunks(OBB_LANES).map(BatchObb::from_obbs).collect();
-    let mut aabb_speedup = Vec::with_capacity(cfg.reps);
-    for _ in 0..cfg.reps.max(1) {
-        let t0 = std::time::Instant::now();
-        for _ in 0..passes {
-            for obb in &obbs {
-                std::hint::black_box(std::hint::black_box(obb).aabb());
-            }
-        }
-        let scalar_s = t0.elapsed().as_secs_f64().max(1e-9);
-        let t1 = std::time::Instant::now();
-        for _ in 0..passes {
-            for batch in &batches {
-                std::hint::black_box(std::hint::black_box(batch).aabbs());
-            }
-        }
-        let batch_s = t1.elapsed().as_secs_f64().max(1e-9);
-        aabb_speedup.push(scalar_s / batch_s);
-    }
-    out.push(BenchRecord::timing(
-        "swexec_batch",
-        "aabb_batch_speedup",
-        &aabb_speedup,
-        "ratio",
-        Better::Higher,
-    ));
-
-    // Timing: end-to-end batched replay throughput at 4 threads.
-    let samples: Vec<f64> = (0..cfg.reps.max(1))
-        .map(|_| {
-            let r = run_cpu_batched(
-                &robot,
-                &env,
-                &poses,
-                &CpuExecConfig {
-                    n_threads: 4,
-                    ..exec_cfg
-                },
-            );
-            poses.len() as f64 / r.wall_time.as_secs_f64().max(1e-9)
-        })
-        .collect();
-    out.push(BenchRecord::timing(
-        "swexec_batch",
-        "batch_motions_per_s_4t",
-        &samples,
-        "motions_per_s",
         Better::Higher,
     ));
 }
@@ -994,14 +833,7 @@ mod tests {
     fn suite_covers_all_subsystems() {
         let report = run_suites(&tiny());
         for suite in [
-            "schedule",
-            "swexec",
-            "swexec_batch",
-            "service",
-            "fleet",
-            "store",
-            "accel",
-            "profile",
+            "schedule", "swexec", "service", "fleet", "store", "accel", "profile",
         ] {
             assert!(
                 report.records.iter().any(|r| r.suite == suite),
@@ -1019,12 +851,6 @@ mod tests {
             reduction > 0.0,
             "warm pass did not reduce CDQs: {reduction}"
         );
-        // The batched hot path must reproduce the scalar replay exactly.
-        let matches = report
-            .record("swexec_batch", "batch_matches_scalar")
-            .expect("swexec_batch suite emits batch_matches_scalar")
-            .value;
-        assert_eq!(matches, 1.0, "batched replay diverged from scalar");
         // The sharded fleet must answer the committed workload exactly
         // like one node.
         let fleet_matches = report

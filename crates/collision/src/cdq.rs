@@ -8,7 +8,7 @@
 //! trace recorder, and the accelerator simulator all consume.
 
 use crate::environment::Environment;
-use copred_geometry::{BatchObb, Obb, Vec3, OBB_LANES};
+use copred_geometry::{Obb, Vec3};
 use copred_kinematics::{Config, Robot};
 
 /// One elementary collision detection query, with its ground-truth outcome.
@@ -30,75 +30,26 @@ pub struct CdqInfo {
 
 /// All CDQs for a single pose check, in link order.
 pub fn enumerate_pose_cdqs(robot: &Robot, env: &Environment, q: &Config) -> Vec<CdqInfo> {
-    let pose = robot.fk(q);
-    pose.links
-        .iter()
-        .enumerate()
-        .map(|(link_idx, link)| {
+    enumerate_motion_cdqs(robot, env, std::slice::from_ref(q))
+}
+
+/// All CDQs for a discretized motion, pose-major then link order, with
+/// `pose_idx` set to the sample index.
+pub fn enumerate_motion_cdqs(robot: &Robot, env: &Environment, poses: &[Config]) -> Vec<CdqInfo> {
+    let mut out = Vec::with_capacity(poses.len() * robot.link_count());
+    for (pose_idx, q) in poses.iter().enumerate() {
+        let pose = robot.fk(q);
+        out.extend(pose.links.iter().enumerate().map(|(link_idx, link)| {
             let (colliding, obstacle_tests) = env.obb_collides_with_cost(&link.obb);
             CdqInfo {
-                pose_idx: 0,
+                pose_idx,
                 link_idx,
                 center: link.center,
                 obb: link.obb,
                 colliding,
                 obstacle_tests,
             }
-        })
-        .collect()
-}
-
-/// All CDQs for a discretized motion, pose-major then link order, with
-/// `pose_idx` set to the sample index.
-///
-/// Internally the link OBBs of consecutive poses are packed [`OBB_LANES`]
-/// at a time (across pose boundaries — enumeration has no early exit) and
-/// resolved with the lane-parallel environment query. Outcomes, costs, and
-/// ordering are bit-identical to [`enumerate_motion_cdqs_scalar`].
-pub fn enumerate_motion_cdqs(robot: &Robot, env: &Environment, poses: &[Config]) -> Vec<CdqInfo> {
-    let mut out = Vec::with_capacity(poses.len() * robot.link_count());
-    for (pose_idx, q) in poses.iter().enumerate() {
-        let pose = robot.fk(q);
-        for (link_idx, link) in pose.links.iter().enumerate() {
-            out.push(CdqInfo {
-                pose_idx,
-                link_idx,
-                center: link.center,
-                obb: link.obb,
-                colliding: false,
-                obstacle_tests: 0,
-            });
-        }
-    }
-    let mut lanes = [Obb::axis_aligned(Vec3::ZERO, Vec3::ZERO); OBB_LANES];
-    for chunk in out.chunks_mut(OBB_LANES) {
-        for (lane, cdq) in lanes.iter_mut().zip(chunk.iter()) {
-            *lane = cdq.obb;
-        }
-        let batch = BatchObb::from_obbs(&lanes[..chunk.len()]);
-        let (hits, costs) = env.obb_collides_batch_with_cost(&batch);
-        for (l, cdq) in chunk.iter_mut().enumerate() {
-            cdq.colliding = hits[l];
-            cdq.obstacle_tests = costs[l];
-        }
-    }
-    out
-}
-
-/// Scalar reference implementation of [`enumerate_motion_cdqs`]: one
-/// [`Environment::obb_collides_with_cost`] call per link. Kept as the
-/// bit-exactness oracle the batched path is property-tested against.
-pub fn enumerate_motion_cdqs_scalar(
-    robot: &Robot,
-    env: &Environment,
-    poses: &[Config],
-) -> Vec<CdqInfo> {
-    let mut out = Vec::with_capacity(poses.len() * robot.link_count());
-    for (pose_idx, q) in poses.iter().enumerate() {
-        for mut cdq in enumerate_pose_cdqs(robot, env, q) {
-            cdq.pose_idx = pose_idx;
-            out.push(cdq);
-        }
+        }));
     }
     out
 }
@@ -248,20 +199,6 @@ mod tests {
         assert!(!cdqs[0].colliding);
         assert!(cdqs[2].colliding);
         assert!(motion_collides(&robot, &env, &poses));
-    }
-
-    #[test]
-    fn batched_enumeration_matches_scalar_reference() {
-        let (robot, env) = planar_env();
-        // Ragged pose counts exercise every tail-lane width.
-        for n_poses in 1..=10usize {
-            let poses: Vec<Config> = (0..n_poses)
-                .map(|i| Config::new(vec![-0.6 + 0.13 * i as f64, 0.1 * i as f64]))
-                .collect();
-            let batched = enumerate_motion_cdqs(&robot, &env, &poses);
-            let scalar = enumerate_motion_cdqs_scalar(&robot, &env, &poses);
-            assert_eq!(batched, scalar, "divergence at {n_poses} poses");
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Detection Unit performs, with early-exit obstacle iteration so the cost
 //! of each CDQ (in obstacle-pair tests) can be modeled.
 
-use copred_geometry::{Aabb, BatchObb, Obb, Sphere, Vec3, VoxelGrid, OBB_LANES};
+use copred_geometry::{Aabb, Obb, Sphere, Vec3, VoxelGrid};
 
 /// A static scene: cuboid obstacles inside a workspace box.
 ///
@@ -82,73 +82,6 @@ impl Environment {
             }
         }
         (false, self.obstacles.len())
-    }
-
-    /// Lane-parallel CDQs: one verdict and cost per live lane of `batch`.
-    ///
-    /// Bit-identical to running [`Self::obb_collides_with_cost`] on each
-    /// lane's OBB: every lane walks the obstacle list in the same order
-    /// with the same broad-phase/SAT cascade, so a lane's cost is the index
-    /// of its first hit plus one, or the obstacle count on a miss. The
-    /// batch form evaluates each obstacle against all unresolved lanes at
-    /// once and stops when every lane has hit (the batch-level analogue of
-    /// the scalar early exit).
-    pub fn obb_collides_batch_with_cost(
-        &self,
-        batch: &BatchObb,
-    ) -> ([bool; OBB_LANES], [usize; OBB_LANES]) {
-        let mut hits = [false; OBB_LANES];
-        let mut costs = [self.obstacles.len(); OBB_LANES];
-        let bbs = batch.aabbs();
-        // Batch-level broad phase: one scalar test against the union of
-        // the lane AABBs rejects an obstacle for the whole batch. This is
-        // conservative (see `BatchAabbs::bound`), and skipping an obstacle
-        // is outcome-identical to an all-lanes broad-phase miss — neither
-        // touches verdicts or the cost ledger.
-        let bound = bbs.bound();
-        let mut alive = batch.live_mask();
-        for (i, obs) in self.obstacles.iter().enumerate() {
-            if !bound.intersects(obs) {
-                continue;
-            }
-            let candidates = alive & bbs.intersects_mask(obs);
-            if candidates != 0 {
-                // Narrow-phase dispatch: with one or two surviving lanes the
-                // scalar cascade (first-separating-axis early exit) resolves
-                // them in a fraction of the 15-axis lane-parallel sweep,
-                // which has to run until *every* candidate is separated.
-                // Denser masks amortize the lane kernel. Both sides are
-                // bit-exact against `Obb::intersects_aabb`, so the verdict
-                // and cost ledgers cannot depend on the dispatch.
-                let hit_now = if candidates.count_ones() <= 2 {
-                    let mut m = 0u8;
-                    let mut rest = candidates;
-                    while rest != 0 {
-                        let l = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        if batch.get(l).intersects_aabb(obs) {
-                            m |= 1 << l;
-                        }
-                    }
-                    m
-                } else {
-                    batch.intersects_aabb_mask_among(obs, candidates)
-                };
-                if hit_now != 0 {
-                    for (l, cost) in costs.iter_mut().enumerate() {
-                        if (hit_now >> l) & 1 == 1 {
-                            hits[l] = true;
-                            *cost = i + 1;
-                        }
-                    }
-                    alive &= !hit_now;
-                    if alive == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        (hits, costs)
     }
 
     /// One sphere-environment CDQ (the §VII-1 sphere-set representation).
@@ -277,37 +210,6 @@ mod tests {
         let (hit, cost) = e.obb_collides_with_cost(&miss);
         assert!(!hit);
         assert_eq!(cost, 3);
-    }
-
-    #[test]
-    fn batched_query_matches_scalar_verdicts_and_costs() {
-        let mut e = Environment::empty(ws());
-        e.add_obstacle(Aabb::new(
-            Vec3::new(-1.0, -1.0, -1.0),
-            Vec3::new(-0.9, -0.9, -0.9),
-        ));
-        e.add_obstacle(Aabb::new(Vec3::ZERO, Vec3::splat(0.3)));
-        e.add_obstacle(Aabb::new(Vec3::splat(0.8), Vec3::splat(0.9)));
-        // A mix of hitting, missing, and boundary-touching probes.
-        let probes: Vec<Obb> = (0..11)
-            .map(|k| {
-                let f = k as f64;
-                Obb::new(
-                    Vec3::new(0.2 * f - 1.0, 0.1 * f - 0.5, (f * 0.7).sin() * 0.5),
-                    copred_geometry::Mat3::rot_z(0.3 * f),
-                    Vec3::splat(0.05 + 0.02 * f),
-                )
-            })
-            .collect();
-        for n in 1..=OBB_LANES {
-            let batch = BatchObb::from_obbs(&probes[..n]);
-            let (hits, costs) = e.obb_collides_batch_with_cost(&batch);
-            for (l, p) in probes[..n].iter().enumerate() {
-                let (hit, cost) = e.obb_collides_with_cost(p);
-                assert_eq!(hits[l], hit, "verdict lane {l}/{n}");
-                assert_eq!(costs[l], cost, "cost lane {l}/{n}");
-            }
-        }
     }
 
     #[test]

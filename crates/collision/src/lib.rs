@@ -32,8 +32,7 @@ mod environment;
 mod schedule;
 
 pub use cdq::{
-    check_pose, enumerate_motion_cdqs, enumerate_motion_cdqs_scalar, enumerate_pose_cdqs,
-    motion_collides, CdqInfo, CdqStats,
+    check_pose, enumerate_motion_cdqs, enumerate_pose_cdqs, motion_collides, CdqInfo, CdqStats,
 };
 pub use environment::Environment;
 pub use schedule::{

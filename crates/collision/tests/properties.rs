@@ -1,8 +1,8 @@
 //! Property-based tests for the collision substrate.
 
 use copred_collision::{
-    check_motion_scheduled, check_pose, enumerate_motion_cdqs, enumerate_motion_cdqs_scalar,
-    run_schedule, Environment, MotionCheckOutcome, Schedule,
+    check_motion_scheduled, check_pose, enumerate_motion_cdqs, run_schedule, Environment,
+    MotionCheckOutcome, Schedule,
 };
 use copred_geometry::{Aabb, Vec3};
 use copred_kinematics::{presets, Config, Motion, Robot};
@@ -102,24 +102,6 @@ proptest! {
         if small.colliding {
             prop_assert!(big.colliding);
         }
-    }
-
-    #[test]
-    fn batched_enumeration_matches_scalar_oracle(
-        obs in obstacles(),
-        from in config2(),
-        to in config2(),
-        n in 1usize..20,
-    ) {
-        // The lane-batched CDQ enumeration must reproduce the scalar
-        // reference exactly: same verdicts, same obstacle-test costs, same
-        // order, for every pose count (exercising every tail lane width).
-        let (robot, env) = planar_env(obs);
-        let poses = Motion::new(from, to).discretize(n);
-        prop_assert_eq!(
-            enumerate_motion_cdqs(&robot, &env, &poses),
-            enumerate_motion_cdqs_scalar(&robot, &env, &poses)
-        );
     }
 
     #[test]

@@ -300,38 +300,6 @@ impl Cht {
         self.params.strategy.predicts(e.coll, e.noncoll)
     }
 
-    /// Gang prediction lookup: one read per code, results in order.
-    ///
-    /// Bit-identical (results *and* access statistics) to calling
-    /// [`Self::predict`] per code — the gang form exists so batched
-    /// pipelines issue one address-translation/bounds-check pass over a
-    /// dense table instead of `n` independent calls, and so the stats
-    /// counter is bumped once.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is shorter than `codes`.
-    pub fn predict_batch(&mut self, codes: &[u64], out: &mut [bool]) {
-        assert!(out.len() >= codes.len(), "output buffer too short");
-        self.stats.reads += codes.len() as u64;
-        let mask = self.mask();
-        let strategy = self.params.strategy;
-        match &self.storage {
-            Storage::Dense(v) => {
-                for (o, &code) in out.iter_mut().zip(codes) {
-                    let e = v[(code & mask) as usize];
-                    *o = strategy.predicts(e.coll, e.noncoll);
-                }
-            }
-            Storage::Sparse(m) => {
-                for (o, &code) in out.iter_mut().zip(codes) {
-                    let e = m.get(&(code & mask)).copied().unwrap_or_default();
-                    *o = strategy.predicts(e.coll, e.noncoll);
-                }
-            }
-        }
-    }
-
     /// Prediction lookup without touching the access statistics (for
     /// instrumentation and tests).
     pub fn peek(&self, code: u64) -> bool {

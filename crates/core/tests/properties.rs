@@ -130,32 +130,6 @@ proptest! {
     }
 
     #[test]
-    fn cht_gang_probe_matches_scalar(
-        observes in prop::collection::vec((0u64..64, any::<bool>()), 0..120),
-        probes in prop::collection::vec(0u64..64, 1..40),
-        counter_bits in 1u32..=8,
-        s_idx in 0usize..4,
-    ) {
-        // Gang-probed lookups must be bit-identical to per-code predicts —
-        // verdicts AND read stats — at every counter width 1..=8.
-        let s = [0.0, 0.5, 1.0, 2.0][s_idx];
-        let mut cht = Cht::new(
-            ChtParams { bits: 6, counter_bits, strategy: Strategy::new(s), update_fraction: 1.0 },
-            17,
-        );
-        for &(code, colliding) in &observes {
-            cht.observe(code, colliding);
-        }
-        let mut scalar_cht = cht.clone();
-        let mut batch = vec![false; probes.len()];
-        cht.predict_batch(&probes, &mut batch);
-        for (i, &code) in probes.iter().enumerate() {
-            prop_assert_eq!(batch[i], scalar_cht.predict(code), "probe {} diverged", i);
-        }
-        prop_assert_eq!(cht.stats().reads, scalar_cht.stats().reads);
-    }
-
-    #[test]
     fn metrics_counts_are_consistent(samples in prop::collection::vec((any::<bool>(), any::<bool>()), 0..200)) {
         let mut m = PredictionMetrics::new();
         for (p, a) in &samples {

@@ -28,7 +28,6 @@
 #![warn(missing_debug_implementations)]
 
 mod aabb;
-mod batch;
 mod fixed;
 mod iso3;
 mod mat3;
@@ -39,7 +38,6 @@ mod vec3;
 mod voxel;
 
 pub use aabb::Aabb;
-pub use batch::{BatchAabbs, BatchObb, OBB_LANES};
 pub use fixed::{msbs, FixedEncoder, FIXED_BITS};
 pub use iso3::Iso3;
 pub use mat3::Mat3;

@@ -27,13 +27,11 @@ use crate::vec3::Vec3;
 /// `1e-10` is large enough to absorb the worst-case error of the chained
 /// multiply-adds on workspace-scale (meter-range) operands and small enough
 /// to be geometrically meaningless (0.1 nm on a meter-scale robot). Both
-/// call sites **must** share this constant: the batched SoA kernels
-/// (`crate::batch`) are verified bit-identical against the scalar test, and
-/// two different epsilons here would make "which scalar reference?"
-/// ambiguous at the boundary. (`contains` historically used `1e-12` while
-/// the SAT used `1e-10`, making containment 100× stricter than
-/// intersection: two unit cubes with a 5e-11 gap "intersected", yet a point
-/// on their touching faces was "outside" both.)
+/// call sites **must** share this constant, or containment and
+/// intersection disagree about the same boundary. (`contains` historically
+/// used `1e-12` while the SAT used `1e-10`, making containment 100×
+/// stricter than intersection: two unit cubes with a 5e-11 gap
+/// "intersected", yet a point on their touching faces was "outside" both.)
 ///
 /// Note the two tests apply the epsilon differently by construction:
 /// `contains` pads each half-extent additively, while the SAT pads the

@@ -38,31 +38,6 @@ fn fingerprint_of(code: u64) -> u8 {
     (code.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
 }
 
-/// Bytewise `x > y` over eight u8 lanes packed into two u64 words, one
-/// result bit per lane (bit `k` for byte `k`).
-///
-/// SWAR: each word's bytes are widened into u16 lanes (even bytes in one
-/// word, odd bytes in the other) and compared with the biased-subtract
-/// trick — `0x8000 + y - x` stays inside a u16 lane because both operands
-/// are at most 255, so its high bit is exactly `y >= x` and no borrow can
-/// cross lanes. `x > y` is then the complement of `y >= x`.
-#[inline]
-fn swar_gt_bytes(x: u64, y: u64) -> u8 {
-    const EVEN: u64 = 0x00FF_00FF_00FF_00FF;
-    const BIAS: u64 = 0x8000_8000_8000_8000;
-    let (xe, xo) = (x & EVEN, (x >> 8) & EVEN);
-    let (ye, yo) = (y & EVEN, (y >> 8) & EVEN);
-    // High bit per u16 lane: y >= x.
-    let ge_e = ((ye | BIAS) - xe) & BIAS;
-    let ge_o = ((yo | BIAS) - xo) & BIAS;
-    let mut ge = 0u8;
-    for k in 0..4 {
-        ge |= (((ge_e >> (16 * k + 15)) & 1) as u8) << (2 * k);
-        ge |= (((ge_o >> (16 * k + 15)) & 1) as u8) << (2 * k + 1);
-    }
-    !ge
-}
-
 impl ConcurrentCht {
     /// Creates an empty shared table.
     ///
@@ -172,52 +147,6 @@ impl ConcurrentCht {
         let c = self.coll[i].load(Ordering::Relaxed);
         let n = self.noncoll[i].load(Ordering::Relaxed);
         self.strategy.predicts(c, n)
-    }
-
-    /// Gang-probed prediction lookup: one verdict per code, in order.
-    ///
-    /// Result-identical to calling [`Self::predict`] per code. Counters for
-    /// up to eight codes are gathered into packed u64 words and compared
-    /// with byte-lane SWAR for the paper's prediction strategies (`S = 1`:
-    /// `COLL > NONCOLL`; `S = 0` / 1-bit mode: `COLL > 0`) — exact because
-    /// u8 counters convert to f64 losslessly, so the float comparison in
-    /// [`Strategy::predicts`] reduces to the integer one. Other `S` values
-    /// fall back to the scalar strategy per lane.
-    ///
-    /// Under concurrent writers each lane is an independent relaxed load,
-    /// exactly like eight scalar `predict` calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is shorter than `codes`.
-    pub fn predict_batch(&self, codes: &[u64], out: &mut [bool]) {
-        assert!(out.len() >= codes.len(), "output buffer too short");
-        let s = self.strategy.s();
-        for (cs, os) in codes.chunks(8).zip(out.chunks_mut(8)) {
-            let mut coll8 = 0u64;
-            let mut non8 = 0u64;
-            for (k, &code) in cs.iter().enumerate() {
-                let i = self.idx(code);
-                coll8 |= u64::from(self.coll[i].load(Ordering::Relaxed)) << (8 * k);
-                non8 |= u64::from(self.noncoll[i].load(Ordering::Relaxed)) << (8 * k);
-            }
-            let verdicts = if s == 1.0 {
-                swar_gt_bytes(coll8, non8)
-            } else if s == 0.0 {
-                swar_gt_bytes(coll8, 0)
-            } else {
-                let mut m = 0u8;
-                for k in 0..cs.len() {
-                    let c = (coll8 >> (8 * k)) as u8;
-                    let n = (non8 >> (8 * k)) as u8;
-                    m |= u8::from(self.strategy.predicts(c, n)) << k;
-                }
-                m
-            };
-            for (k, o) in os.iter_mut().enumerate() {
-                *o = (verdicts >> k) & 1 == 1;
-            }
-        }
     }
 
     /// Records an executed CDQ's outcome. `u_draw` is a uniform [0,1) draw
@@ -488,68 +417,6 @@ mod tests {
         wild[0] = (200, 200);
         c.load_cells(&wild);
         assert_eq!(c.export_cells()[0], (15, 15));
-    }
-
-    #[test]
-    fn swar_byte_compare_is_exact() {
-        // Exhaustive over one interesting lane plus patterned other lanes.
-        for x in 0..=255u64 {
-            for y in [0u64, 1, 2, 127, 128, 200, 254, 255] {
-                let xs = x | (0xFF << 8) | (0x80 << 24) | (0x01 << 48);
-                let ys = y | (0xFE << 8) | (0x80 << 24) | (0x02 << 48);
-                let m = swar_gt_bytes(xs, ys);
-                assert_eq!((m & 1) == 1, x > y, "lane 0: {x} > {y}");
-                assert_eq!((m >> 1) & 1, 1, "lane 1: 255 > 254");
-                assert_eq!((m >> 3) & 1, 0, "lane 3: 128 > 128 is false");
-                assert_eq!((m >> 6) & 1, 0, "lane 6: 1 > 2 is false");
-                assert_eq!((m >> 2) & 1, 0, "lane 2: 0 > 0 is false");
-            }
-        }
-    }
-
-    #[test]
-    fn gang_probe_matches_scalar_for_every_strategy() {
-        for (s, counter_bits) in [
-            (0.0, 1u32),
-            (0.0, 4),
-            (1.0, 4),
-            (1.0, 8),
-            (0.5, 4),
-            (2.0, 3),
-        ] {
-            let p = ChtParams {
-                bits: 10,
-                counter_bits,
-                strategy: Strategy::new(s),
-                update_fraction: 1.0,
-            };
-            let cht = ConcurrentCht::new(p);
-            // Scatter a deterministic mix of outcomes.
-            let mut state = 0x1234_5678_u64;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            for _ in 0..600 {
-                let r = next();
-                cht.observe(r >> 16, r & 1 == 0, 0.0);
-            }
-            // Gang-probe every batch size 1..=8 plus a long ragged batch.
-            let codes: Vec<u64> = (0..37).map(|_| next() >> 13).collect();
-            for n in 1..=codes.len() {
-                let mut out = vec![false; n];
-                cht.predict_batch(&codes[..n], &mut out);
-                for (k, &code) in codes[..n].iter().enumerate() {
-                    assert_eq!(
-                        out[k],
-                        cht.predict(code),
-                        "lane {k}/{n}, S={s}, width={counter_bits}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

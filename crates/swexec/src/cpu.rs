@@ -13,7 +13,6 @@ use copred_collision::Environment;
 use copred_core::hash::CollisionHash;
 use copred_core::HashInput;
 use copred_core::{ChtParams, CoordHash};
-use copred_geometry::{BatchObb, OBB_LANES};
 use copred_kinematics::{Config, Robot};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -186,155 +185,6 @@ pub fn run_cpu(
     }
 }
 
-/// Poses per precompute block in [`run_cpu_batched`]. Eight poses keep the
-/// flattened CDQ count a multiple of the SAT lane width for single-link
-/// planar robots and several full batches for arms.
-const POSE_BLOCK: usize = 8;
-
-/// Batched variant of [`run_cpu`]: identical Algorithm 1 semantics, SoA
-/// collision hot path.
-///
-/// Per motion, poses are processed in blocks of [`POSE_BLOCK`]: forward
-/// kinematics runs for the block, the link OBBs are packed
-/// [`copred_geometry::OBB_LANES`] wide and their environment verdicts
-/// precomputed with the lane-parallel SAT, and their COORD codes computed
-/// with the batched hash. Algorithm 1 then *replays* over the cached codes
-/// and verdicts in the exact scalar order — predict, execute-if-predicted,
-/// observe with the same per-thread `U`-draw stream, queue-and-drain
-/// otherwise — so `cdqs_executed`, `colliding_motions`, and the CHT state
-/// trajectory are bit-identical to [`run_cpu`] at every thread count. (CHT
-/// predictions must stay sequential here: each observe can flip a later
-/// prediction. Gang-probing is only sound when all predicts precede all
-/// observes, as in the GPU model.) The only extra work is physical: SAT
-/// verdicts for at most one block past an early exit are computed and
-/// discarded, never counted.
-///
-/// # Panics
-///
-/// Panics when `cfg.n_threads` is zero.
-pub fn run_cpu_batched(
-    robot: &Robot,
-    env: &Environment,
-    motions: &[Vec<Config>],
-    cfg: &CpuExecConfig,
-) -> CpuExecResult {
-    assert!(cfg.n_threads > 0, "need at least one worker thread");
-    let cht = ConcurrentCht::new(cfg.cht_params);
-    let hash = CoordHash::paper_default(robot);
-    let cdqs = AtomicU64::new(0);
-    let colliding = AtomicU64::new(0);
-    let next = AtomicUsize::new(0);
-
-    let run_span = copred_obs::span("swexec", "run_cpu_batched");
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..cfg.n_threads {
-            let cht = &cht;
-            let hash = &hash;
-            let cdqs = &cdqs;
-            let colliding = &colliding;
-            let next = &next;
-            let thread_seed = cfg.seed ^ ((t as u64 + 1) * 0x9E37_79B9);
-            scope.spawn(move || {
-                // Batched replayer workers publish the same swexec frame
-                // as the scalar path so profiles compare like-for-like.
-                let _swexec_stage = copred_obs::stage(copred_obs::Stage::SwExec);
-                // Same per-thread xorshift stream as the scalar path.
-                let mut state = thread_seed | 1;
-                let mut rand01 = move || {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    (state >> 11) as f64 / (1u64 << 53) as f64
-                };
-                // Per-block scratch, reused across motions.
-                let mut centers: Vec<copred_geometry::Vec3> = Vec::new();
-                let mut obbs: Vec<copred_geometry::Obb> = Vec::new();
-                let mut codes: Vec<u64> = Vec::new();
-                let mut verdicts: Vec<bool> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= motions.len() {
-                        break;
-                    }
-                    let poses = &motions[i];
-                    let mut executed = 0u64;
-                    let mut hit = false;
-                    let mut queue: Vec<(u64, bool)> = Vec::new();
-                    'blocks: for block in poses.chunks(POSE_BLOCK) {
-                        centers.clear();
-                        obbs.clear();
-                        for q in block {
-                            let pose = robot.fk(q);
-                            for link in &pose.links {
-                                centers.push(link.center);
-                                obbs.push(link.obb);
-                            }
-                        }
-                        codes.resize(centers.len(), 0);
-                        hash.code_batch(&centers, &mut codes);
-                        verdicts.clear();
-                        for chunk in obbs.chunks(OBB_LANES) {
-                            let batch = BatchObb::from_obbs(chunk);
-                            let (hits, _) = env.obb_collides_batch_with_cost(&batch);
-                            verdicts.extend_from_slice(&hits[..chunk.len()]);
-                        }
-                        if cfg.with_prediction {
-                            // Replay Algorithm 1 over the cached values.
-                            for (&code, &c) in codes.iter().zip(&verdicts) {
-                                if cht.predict(code) {
-                                    executed += 1;
-                                    cht.observe(code, c, rand01());
-                                    if c {
-                                        hit = true;
-                                        break 'blocks;
-                                    }
-                                } else {
-                                    queue.push((code, c));
-                                }
-                            }
-                        } else {
-                            for &c in &verdicts {
-                                executed += 1;
-                                if c {
-                                    hit = true;
-                                    break 'blocks;
-                                }
-                            }
-                        }
-                    }
-                    if cfg.with_prediction && !hit {
-                        for (code, c) in queue.drain(..) {
-                            executed += 1;
-                            cht.observe(code, c, rand01());
-                            if c {
-                                hit = true;
-                                break;
-                            }
-                        }
-                    }
-                    cdqs.fetch_add(executed, Ordering::Relaxed);
-                    if hit {
-                        colliding.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    drop(run_span);
-    if copred_obs::enabled() {
-        copred_obs::counter("swexec", "cht_occupancy", cht.occupancy() as u64);
-        copred_obs::counter("swexec", "cht_saturated", cht.saturated_entries() as u64);
-        copred_obs::counter("swexec", "cht_writes", cht.writes());
-        copred_obs::counter("swexec", "cht_alias_events", cht.alias_events());
-    }
-    CpuExecResult {
-        cdqs_executed: cdqs.load(Ordering::Relaxed),
-        colliding_motions: colliding.load(Ordering::Relaxed),
-        wall_time: start.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,80 +264,6 @@ mod tests {
             },
         );
         let eight = run_cpu(
-            &robot,
-            &env,
-            &motions,
-            &CpuExecConfig {
-                with_prediction: false,
-                n_threads: 8,
-                ..Default::default()
-            },
-        );
-        assert_eq!(one.colliding_motions, eight.colliding_motions);
-        assert_eq!(one.cdqs_executed, eight.cdqs_executed);
-    }
-
-    #[test]
-    fn batched_replayer_is_bit_identical_to_scalar() {
-        // The core contract of the SoA hot path: at one thread (the
-        // deterministic configuration perfwatch pins), the batched replayer
-        // must reproduce the scalar path's executed-CDQ count and colliding
-        // set exactly — prediction on and off, planar and arm.
-        let (robot, env, motions) = workload();
-        for with_prediction in [false, true] {
-            let cfg = CpuExecConfig {
-                n_threads: 1,
-                with_prediction,
-                cht_params: ChtParams::paper_2d(),
-                seed: 9,
-            };
-            let scalar = run_cpu(&robot, &env, &motions, &cfg);
-            let batched = run_cpu_batched(&robot, &env, &motions, &cfg);
-            assert_eq!(
-                scalar.cdqs_executed, batched.cdqs_executed,
-                "prediction={with_prediction}"
-            );
-            assert_eq!(scalar.colliding_motions, batched.colliding_motions);
-        }
-        let arm: Robot = presets::kuka_iiwa().into();
-        let arm_env = Environment::new(
-            arm.workspace(),
-            vec![Aabb::from_center_half_extents(
-                Vec3::new(0.5, 0.0, 0.4),
-                Vec3::splat(0.2),
-            )],
-        );
-        let mut rng = StdRng::seed_from_u64(3);
-        let arm_motions: Vec<Vec<Config>> = (0..20)
-            .map(|_| {
-                Motion::new(arm.sample_uniform(&mut rng), arm.sample_uniform(&mut rng))
-                    .discretize(10)
-            })
-            .collect();
-        let cfg = CpuExecConfig {
-            n_threads: 1,
-            ..Default::default()
-        };
-        let scalar = run_cpu(&arm, &arm_env, &arm_motions, &cfg);
-        let batched = run_cpu_batched(&arm, &arm_env, &arm_motions, &cfg);
-        assert_eq!(scalar.cdqs_executed, batched.cdqs_executed);
-        assert_eq!(scalar.colliding_motions, batched.colliding_motions);
-    }
-
-    #[test]
-    fn batched_thread_count_does_not_change_results() {
-        let (robot, env, motions) = workload();
-        let one = run_cpu_batched(
-            &robot,
-            &env,
-            &motions,
-            &CpuExecConfig {
-                with_prediction: false,
-                n_threads: 1,
-                ..Default::default()
-            },
-        );
-        let eight = run_cpu_batched(
             &robot,
             &env,
             &motions,

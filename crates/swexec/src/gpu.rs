@@ -96,20 +96,11 @@ pub fn run_gpu_model(
         let order: Vec<usize> = if with_prediction {
             // Hash + predict each CDQ (one CHT read per CDQ); lookups run in
             // parallel across the motion's lanes but contend on the table.
-            let codes: Vec<u64> = m
-                .cdqs
-                .iter()
-                .map(|c| coord_code(c.center, cht.params().bits))
-                .collect();
-            // Gang-probe the whole motion in one pass: every predict
-            // happens before any observe for this motion, so the batched
-            // lookup is bit-identical to the sequential predict loop.
-            let mut preds = vec![false; n];
-            cht.predict_batch(&codes, &mut preds);
+            let bits = cht.params().bits;
             let mut predicted = Vec::with_capacity(n);
             let mut rest = Vec::with_capacity(n);
-            for (i, &p) in preds.iter().enumerate() {
-                if p {
+            for (i, c) in m.cdqs.iter().enumerate() {
+                if cht.predict(coord_code(c.center, bits)) {
                     predicted.push(i);
                 } else {
                     rest.push(i);

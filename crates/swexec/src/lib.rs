@@ -35,6 +35,6 @@ mod gpu;
 mod shard;
 
 pub use concurrent_cht::ConcurrentCht;
-pub use cpu::{run_cpu, run_cpu_batched, CpuExecConfig, CpuExecResult};
+pub use cpu::{run_cpu, CpuExecConfig, CpuExecResult};
 pub use gpu::{gpu_sweep, run_gpu_model, GpuModelParams, GpuRun, GpuSweepRow, MOTION_LANES};
 pub use shard::ShardedCht;

@@ -4,7 +4,7 @@ use copred_core::ChtParams;
 use copred_geometry::Vec3;
 use copred_kinematics::Config;
 use copred_planners::Stage;
-use copred_swexec::{gpu_sweep, run_gpu_model, ConcurrentCht, GpuModelParams, MOTION_LANES};
+use copred_swexec::{gpu_sweep, run_gpu_model, GpuModelParams, MOTION_LANES};
 use copred_trace::{MotionTrace, TraceCdq};
 use proptest::prelude::*;
 
@@ -79,38 +79,6 @@ proptest! {
         let a = run_gpu_model(&ms, 512, true, &p, ChtParams::paper_2d(), 9);
         let b = run_gpu_model(&ms, 512, true, &p, ChtParams::paper_2d(), 9);
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn concurrent_gang_probe_matches_scalar(
-        observes in prop::collection::vec((0u64..64, any::<bool>(), 0.0..1.0f64), 0..120),
-        probes in prop::collection::vec(0u64..64, 1..40),
-        counter_bits in 1u32..=8,
-        s_idx in 0usize..4,
-    ) {
-        // The SWAR gang probe (and its scalar fallback for non-SWAR
-        // strategies) must agree with per-code predicts at every counter
-        // width 1..=8 — including the u64-packed-lane widths the SWAR
-        // compare handles directly (S = 0 and S = 1).
-        let s = [0.0, 0.5, 1.0, 2.0][s_idx];
-        let cht = ConcurrentCht::new(ChtParams {
-            bits: 6,
-            counter_bits,
-            strategy: copred_core::Strategy::new(s),
-            update_fraction: 1.0,
-        });
-        for &(code, colliding, u) in &observes {
-            cht.observe(code, colliding, u);
-        }
-        let mut batch = vec![false; probes.len()];
-        cht.predict_batch(&probes, &mut batch);
-        for (i, &code) in probes.iter().enumerate() {
-            prop_assert_eq!(
-                batch[i],
-                cht.predict(code),
-                "probe {} diverged (S={}, counter_bits={})", i, s, counter_bits
-            );
-        }
     }
 
     #[test]
