@@ -60,8 +60,10 @@ impl SphereSim {
         let mut executed = 0u64;
         // Deferred links: (pose order position, link).
         let mut queue: Vec<(usize, usize)> = Vec::new();
-        // Cache FK per pose to expand links on dispatch.
+        // Cache FK (for the hashed link centers) and the sphere sets per
+        // pose to expand links on dispatch.
         let fk: Vec<_> = poses.iter().map(|q| robot.fk(q)).collect();
+        let spheres: Vec<_> = poses.iter().map(|q| robot.link_spheres(q)).collect();
         let dummy = Config::zeros(0);
         let with_copu = self.with_copu;
         let hash = &self.hash;
@@ -70,9 +72,8 @@ impl SphereSim {
         // Executes a link's sphere CDQs with early exit and records the
         // link-level outcome in the history table.
         let exec_link = |pi: usize, li: usize, executed: &mut u64, cht: &mut Cht| -> bool {
-            let link = &fk[pi].links[li];
             let mut hit = false;
-            for s in &link.spheres {
+            for s in &spheres[pi][li] {
                 *executed += 1;
                 if env.sphere_collides(s) {
                     hit = true;
@@ -82,7 +83,7 @@ impl SphereSim {
             if with_copu {
                 let code = hash.code(&HashInput {
                     config: &dummy,
-                    center: link.center,
+                    center: fk[pi].links[li].center,
                 });
                 cht.observe(code, hit);
             }
@@ -196,10 +197,7 @@ mod tests {
         let robot: Robot = presets::jaco2().into();
         let env = Environment::empty(robot.workspace());
         let poses = Motion::new(Config::zeros(7), Config::new(vec![0.3; 7])).discretize(5);
-        let total_spheres: u64 = poses
-            .iter()
-            .map(|q| robot.fk(q).sphere_count() as u64)
-            .sum();
+        let total_spheres = (poses.len() * robot.sphere_count()) as u64;
         let mut s = SphereSim::new(&robot, ChtParams::paper_arm(), true, 1);
         let (hit, cdqs) = s.run_motion(&robot, &env, &poses);
         assert!(!hit);

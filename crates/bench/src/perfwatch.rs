@@ -18,7 +18,7 @@ use copred_accel::{
 use copred_collision::{Environment, Schedule};
 use copred_core::{ChtParams, CoordHash};
 use copred_geometry::{Aabb, Vec3};
-use copred_kinematics::{presets, Motion, Robot};
+use copred_kinematics::{presets, Config, Motion, Robot};
 use copred_obs::{BenchRecord, BenchReport, Better};
 use copred_planners::{MotionRecord, PlanLog, Stage};
 use copred_service::protocol::SchedMode;
@@ -223,6 +223,37 @@ fn schedule_suite(cfg: &PerfwatchConfig, out: &mut Vec<BenchRecord>) {
     }
 }
 
+/// A fixed seeded KUKA iiwa workload for the swexec suite: random motions
+/// against four boxes around the arm. It is the suite's only replay whose
+/// check path runs DH forward kinematics and 3-axis COORD codes.
+fn arm_workload(n: usize, seed: u64) -> (Robot, Environment, Vec<Vec<Config>>) {
+    let robot: Robot = presets::kuka_iiwa().into();
+    let boxes = [
+        (Vec3::new(0.45, 0.0, 0.45), Vec3::new(0.12, 0.25, 0.1)),
+        (Vec3::new(-0.3, 0.4, 0.6), Vec3::splat(0.12)),
+        (Vec3::new(0.0, -0.5, 0.25), Vec3::new(0.2, 0.08, 0.25)),
+        (Vec3::new(-0.4, -0.3, 0.9), Vec3::new(0.1, 0.1, 0.15)),
+    ];
+    let env = Environment::new(
+        robot.workspace(),
+        boxes
+            .iter()
+            .map(|&(c, h)| Aabb::from_center_half_extents(c, h))
+            .collect(),
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let motions = (0..n)
+        .map(|_| {
+            Motion::new(
+                robot.sample_uniform(&mut rng),
+                robot.sample_uniform(&mut rng),
+            )
+            .discretize(16)
+        })
+        .collect();
+    (robot, env, motions)
+}
+
 /// Swexec suite: software-executor CDQ counts (deterministic at one
 /// thread; the multithreaded interleaving is not) plus wall-clock replay
 /// throughput, and the modeled GPU executor.
@@ -257,6 +288,25 @@ fn swexec_suite(cfg: &PerfwatchConfig, out: &mut Vec<BenchRecord>) {
         det.colliding_motions as f64,
         "motions",
         Better::Higher,
+    ));
+    let (arm, arm_env, arm_motions) = arm_workload(cfg.sim_motions(), cfg.seed);
+    let arm_det = run_cpu(
+        &arm,
+        &arm_env,
+        &arm_motions,
+        &CpuExecConfig {
+            n_threads: 1,
+            with_prediction: true,
+            cht_params: ChtParams::paper_arm(),
+            seed: cfg.seed,
+        },
+    );
+    out.push(BenchRecord::deterministic(
+        "swexec",
+        "cpu_arm_cdqs_1t",
+        arm_det.cdqs_executed as f64,
+        "cdqs",
+        Better::Lower,
     ));
 
     // Timing: multithreaded replay throughput.

@@ -5,7 +5,7 @@ use crate::cht::{Cht, ChtParams};
 use crate::hash::{CollisionHash, CoordHash, HashInput};
 use crate::metrics::PredictionMetrics;
 use copred_collision::{enumerate_pose_cdqs, Environment, MotionCheckOutcome};
-use copred_kinematics::{Config, Robot};
+use copred_kinematics::{Config, Robot, RobotPose};
 
 /// A collision predictor: a hash function plus a Collision History Table.
 ///
@@ -119,7 +119,7 @@ impl Predictor {
         env: &Environment,
         poses: &[Config],
     ) -> MotionCheckOutcome {
-        // Queue entries: (config index, link center, obb, obstacle cost hint).
+        // Queue entries: (config index, link center, link OBB).
         let mut queue: Vec<(usize, copred_geometry::Vec3, copred_geometry::Obb)> = Vec::new();
         let mut executed = 0usize;
         let mut tests = 0usize;
@@ -127,9 +127,10 @@ impl Predictor {
 
         let order =
             copred_kinematics::csp_order(poses.len(), copred_collision::Schedule::DEFAULT_CSP_STEP);
+        let mut pose = RobotPose::default();
         for pi in order {
             let q = &poses[pi];
-            let pose = robot.fk(q);
+            robot.fk_into(q, &mut pose);
             for link in &pose.links {
                 let input = HashInput {
                     config: q,

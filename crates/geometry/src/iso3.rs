@@ -62,8 +62,16 @@ impl Iso3 {
     /// link frames, exactly as the paper's baseline accelerator computes
     /// "transformation matrices for all links ... using the DH parameters".
     pub fn from_dh(theta: f64, d: f64, a: f64, alpha: f64) -> Self {
+        Iso3::from_dh_sin_cos(theta, d, a, alpha.sin_cos())
+    }
+
+    /// [`Iso3::from_dh`] with the twist's `alpha.sin_cos()` supplied by the
+    /// caller. The twist is a constant of the robot, so a kinematic chain
+    /// computes it once instead of once per pose; the result is
+    /// bit-identical to `from_dh(theta, d, a, alpha)`.
+    #[inline]
+    pub fn from_dh_sin_cos(theta: f64, d: f64, a: f64, (sa, ca): (f64, f64)) -> Self {
         let (st, ct) = theta.sin_cos();
-        let (sa, ca) = alpha.sin_cos();
         let rot = Mat3::from_rows([
             [ct, -st * ca, st * sa],
             [st, ct * ca, -ct * sa],

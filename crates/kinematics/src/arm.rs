@@ -5,11 +5,14 @@
 //! bounds each link with simple volumes (OBBs or spheres). [`ArmModel`]
 //! reproduces that pipeline: a chain of revolute joints described by DH rows,
 //! forward kinematics producing per-link world transforms, and per-link
-//! bounding geometry derived from consecutive frame origins.
+//! bounding geometry derived from consecutive frame origins. Forward
+//! kinematics produces OBBs only; the §VII-1 sphere sets are computed on
+//! request by [`ArmModel::link_spheres`].
 
 use crate::config::Config;
 use crate::pose::{LinkPose, RobotPose};
 use copred_geometry::{Aabb, Iso3, Mat3, Obb, Sphere, Vec3};
+use std::sync::OnceLock;
 
 /// One revolute joint's Denavit–Hartenberg row. The joint variable is
 /// `theta = theta_offset + q`.
@@ -56,6 +59,12 @@ pub struct ArmModel {
     name: String,
     base: Iso3,
     joints: Vec<DhJoint>,
+    /// `alpha.sin_cos()` of every joint. The twist is constant, so FK
+    /// computes it once rather than once per pose. It is filled on the
+    /// first FK call, not in [`ArmModel::new`], so code that builds arms
+    /// without running FK (the server sizes its COORD hash from the robot)
+    /// calls no trigonometry and does not link libm.
+    twist_sin_cos: OnceLock<Vec<(f64, f64)>>,
     /// Radius used for link bounding volumes.
     link_radius: f64,
     /// Spheres per link in the sphere-set representation (§VII-1).
@@ -83,6 +92,7 @@ impl ArmModel {
             name: name.into(),
             base,
             joints,
+            twist_sin_cos: OnceLock::new(),
             link_radius,
             spheres_per_link,
         }
@@ -125,13 +135,12 @@ impl ArmModel {
         Aabb::from_center_half_extents(self.base.trans, Vec3::splat(r))
     }
 
-    /// World transforms of every link frame for configuration `q`,
-    /// including the base frame at index 0 (so `transforms.len() == dofs+1`).
+    /// The DH transform of every joint at configuration `q`, base outward.
     ///
     /// # Panics
     ///
     /// Panics when `q` has the wrong DOF count.
-    pub fn link_transforms(&self, q: &Config) -> Vec<Iso3> {
+    fn joint_transforms<'a>(&'a self, q: &'a Config) -> impl Iterator<Item = Iso3> + 'a {
         assert_eq!(
             q.dofs(),
             self.dofs(),
@@ -140,11 +149,28 @@ impl ArmModel {
             self.name,
             self.dofs()
         );
+        self.joints
+            .iter()
+            .zip(
+                self.twist_sin_cos
+                    .get_or_init(|| self.joints.iter().map(|j| j.alpha.sin_cos()).collect()),
+            )
+            .zip(q.values())
+            .map(|((j, &twist), &qi)| Iso3::from_dh_sin_cos(j.theta_offset + qi, j.d, j.a, twist))
+    }
+
+    /// World transforms of every link frame for configuration `q`,
+    /// including the base frame at index 0 (so `transforms.len() == dofs+1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` has the wrong DOF count.
+    pub fn link_transforms(&self, q: &Config) -> Vec<Iso3> {
         let mut ts = Vec::with_capacity(self.joints.len() + 1);
         let mut t = self.base;
         ts.push(t);
-        for (j, &qi) in self.joints.iter().zip(q.values()) {
-            t = t * Iso3::from_dh(j.theta_offset + qi, j.d, j.a, j.alpha);
+        for dh in self.joint_transforms(q) {
+            t = t * dh;
             ts.push(t);
         }
         ts
@@ -154,27 +180,67 @@ impl ArmModel {
     ///
     /// Link `i` is the body between frame origins `i` and `i+1`: its OBB is
     /// oriented along that segment with half-extents
-    /// `(len/2 + radius, radius, radius)`, and its sphere set covers the same
-    /// segment. Links whose frames coincide (pure-rotation DH rows) collapse
-    /// to a radius-sized cube at the joint.
+    /// `(len/2 + radius, radius, radius)`. Links whose frames coincide
+    /// (pure-rotation DH rows) collapse to a radius-sized cube at the joint.
     ///
     /// # Panics
     ///
     /// Panics when `q` has the wrong DOF count.
     pub fn fk(&self, q: &Config) -> RobotPose {
-        let ts = self.link_transforms(q);
-        let r = self.link_radius;
-        let mut links = Vec::with_capacity(self.joints.len());
-        for w in ts.windows(2) {
-            let (p0, p1) = (w[0].trans, w[1].trans);
-            links.push(segment_link(p0, p1, r, self.spheres_per_link));
+        let mut pose = RobotPose {
+            links: Vec::with_capacity(self.joints.len()),
+        };
+        self.fk_into(q, &mut pose);
+        pose
+    }
+
+    /// [`ArmModel::fk`] into a caller-owned pose: `pose` is cleared and
+    /// refilled, so a pose reused across calls makes FK allocation-free.
+    /// The chain is walked in place, with no per-pose transform list.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` has the wrong DOF count.
+    pub fn fk_into(&self, q: &Config, pose: &mut RobotPose) {
+        pose.links.clear();
+        let mut t = self.base;
+        for dh in self.joint_transforms(q) {
+            let next = t * dh;
+            pose.links
+                .push(segment_link(t.trans, next.trans, self.link_radius));
+            t = next;
         }
-        RobotPose { links }
+    }
+
+    /// The §VII-1 sphere set of every link at configuration `q`: link `i`
+    /// is covered by `spheres_per_link` spheres spaced evenly from frame
+    /// origin `i` to `i+1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` has the wrong DOF count.
+    pub fn link_spheres(&self, q: &Config) -> Vec<Vec<Sphere>> {
+        self.link_transforms(q)
+            .windows(2)
+            .map(|w| {
+                segment_spheres(
+                    w[0].trans,
+                    w[1].trans,
+                    self.link_radius,
+                    self.spheres_per_link,
+                )
+            })
+            .collect()
+    }
+
+    /// Spheres per link in the sphere-set representation.
+    pub fn spheres_per_link(&self) -> usize {
+        self.spheres_per_link
     }
 }
 
 /// Builds the bounding geometry of a link spanning `p0 → p1`.
-fn segment_link(p0: Vec3, p1: Vec3, radius: f64, n_spheres: usize) -> LinkPose {
+fn segment_link(p0: Vec3, p1: Vec3, radius: f64) -> LinkPose {
     let center = (p0 + p1) * 0.5;
     let dir = p1 - p0;
     let len = dir.norm();
@@ -185,9 +251,15 @@ fn segment_link(p0: Vec3, p1: Vec3, radius: f64, n_spheres: usize) -> LinkPose {
         let rot = orthonormal_frame(x);
         Obb::new(center, rot, Vec3::new(len * 0.5 + radius, radius, radius))
     };
+    LinkPose { center, obb }
+}
+
+/// Covers the link spanning `p0 → p1` with `n_spheres` spheres.
+fn segment_spheres(p0: Vec3, p1: Vec3, radius: f64, n_spheres: usize) -> Vec<Sphere> {
+    let len = (p1 - p0).norm();
     // Sphere radii grow slightly so the union covers the capsule.
     let sphere_r = radius * 1.3 + len / (2.0 * n_spheres as f64);
-    let spheres = (0..n_spheres)
+    (0..n_spheres)
         .map(|i| {
             let t = if n_spheres == 1 {
                 0.5
@@ -196,12 +268,7 @@ fn segment_link(p0: Vec3, p1: Vec3, radius: f64, n_spheres: usize) -> LinkPose {
             };
             Sphere::new(p0.lerp(p1, t), sphere_r)
         })
-        .collect();
-    LinkPose {
-        center,
-        obb,
-        spheres,
-    }
+        .collect()
 }
 
 /// Completes a unit vector `x` into a right-handed orthonormal frame whose
@@ -286,14 +353,16 @@ mod tests {
     fn sphere_set_covers_segment() {
         let arm = two_link();
         let q = Config::new(vec![0.9, 0.4]);
-        let pose = arm.fk(&q);
+        let spheres = arm.link_spheres(&q);
         let ts = arm.link_transforms(&q);
-        for (i, link) in pose.links.iter().enumerate() {
+        assert_eq!(spheres.len(), 2);
+        for (i, link) in spheres.iter().enumerate() {
+            assert_eq!(link.len(), 3);
             // Sample along the segment: every sample must be in some sphere.
             for k in 0..=10 {
                 let p = ts[i].trans.lerp(ts[i + 1].trans, k as f64 / 10.0);
                 assert!(
-                    link.spheres.iter().any(|s| s.contains(p)),
+                    link.iter().any(|s| s.contains(p)),
                     "segment sample {p} of link {i} not covered"
                 );
             }

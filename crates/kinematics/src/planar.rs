@@ -84,15 +84,41 @@ impl PlanarModel {
     ///
     /// Panics when `q` does not have exactly 2 DOFs.
     pub fn fk(&self, q: &Config) -> RobotPose {
-        assert_eq!(q.dofs(), 2, "planar robot needs a 2-DOF configuration");
-        let center = Vec3::planar(q[0], q[1]);
+        let mut pose = RobotPose {
+            links: Vec::with_capacity(1),
+        };
+        self.fk_into(q, &mut pose);
+        pose
+    }
+
+    /// [`PlanarModel::fk`] into a caller-owned pose, which is cleared and
+    /// refilled without allocating once it has room for one link.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` does not have exactly 2 DOFs.
+    pub fn fk_into(&self, q: &Config, pose: &mut RobotPose) {
+        let center = self.center(q);
         let r = self.radius;
-        let link = LinkPose {
+        pose.links.clear();
+        pose.links.push(LinkPose {
             center,
             obb: Obb::axis_aligned(center, Vec3::new(r, r, r)),
-            spheres: vec![Sphere::new(center, r)],
-        };
-        RobotPose { links: vec![link] }
+        });
+    }
+
+    /// The §VII-1 sphere set: the disc is its own single sphere.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` does not have exactly 2 DOFs.
+    pub fn link_spheres(&self, q: &Config) -> Vec<Vec<Sphere>> {
+        vec![vec![Sphere::new(self.center(q), self.radius)]]
+    }
+
+    fn center(&self, q: &Config) -> Vec3 {
+        assert_eq!(q.dofs(), 2, "planar robot needs a 2-DOF configuration");
+        Vec3::planar(q[0], q[1])
     }
 }
 
@@ -108,7 +134,8 @@ mod tests {
     fn fk_places_disc() {
         let pose = robot().fk(&Config::new(vec![1.0, -1.5]));
         assert_eq!(pose.links[0].center, Vec3::new(1.0, -1.5, 0.0));
-        assert_eq!(pose.links[0].spheres[0].radius, 0.05);
+        let spheres = robot().link_spheres(&Config::new(vec![1.0, -1.5]));
+        assert_eq!(spheres, vec![vec![Sphere::new(pose.links[0].center, 0.05)]]);
         assert_eq!(pose.link_count(), 1);
     }
 

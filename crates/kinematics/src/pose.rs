@@ -1,25 +1,27 @@
 //! World-space bounding geometry of a robot pose.
 
-use copred_geometry::{Obb, Sphere, Vec3};
+use copred_geometry::{Obb, Vec3};
 
 /// Bounding geometry of one rigid link at a given pose.
 ///
-/// A link carries both representations the paper evaluates: one OBB
-/// (Shah et al. / RACOD style) and a set of covering spheres (curobo style,
-/// §VII-1). The `center` is the quantity the COORD hash consumes.
-#[derive(Debug, Clone, PartialEq)]
+/// A link carries the OBB (Shah et al. / RACOD style) that every collision
+/// path tests. The curobo-style sphere sets of §VII-1 are opt-in: only the
+/// sphere study reads them, through [`crate::Robot::link_spheres`]. The
+/// `center` is the quantity the COORD hash consumes.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkPose {
     /// Cartesian center of the link (the OBB center; paper Fig. 10 input).
     pub center: Vec3,
     /// OBB bounding the link.
     pub obb: Obb,
-    /// Sphere set covering the link.
-    pub spheres: Vec<Sphere>,
 }
 
 /// The full bounding geometry of a robot at one configuration: one
 /// [`LinkPose`] per rigid link.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A pose can be reused across configurations with
+/// [`crate::Robot::fk_into`], which refills it without allocating.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RobotPose {
     /// Per-link geometry, ordered from the base outward.
     pub links: Vec<LinkPose>,
@@ -29,11 +31,6 @@ impl RobotPose {
     /// Number of links (= number of OBB CDQs needed for a pose check).
     pub fn link_count(&self) -> usize {
         self.links.len()
-    }
-
-    /// Total number of sphere CDQs needed for a pose check.
-    pub fn sphere_count(&self) -> usize {
-        self.links.iter().map(|l| l.spheres.len()).sum()
     }
 }
 
@@ -47,12 +44,10 @@ mod tests {
         let link = LinkPose {
             center: Vec3::ZERO,
             obb: Obb::new(Vec3::ZERO, Mat3::IDENTITY, Vec3::splat(0.1)),
-            spheres: vec![Sphere::new(Vec3::ZERO, 0.1), Sphere::new(Vec3::X, 0.1)],
         };
         let pose = RobotPose {
-            links: vec![link.clone(), link],
+            links: vec![link, link],
         };
         assert_eq!(pose.link_count(), 2);
-        assert_eq!(pose.sphere_count(), 4);
     }
 }

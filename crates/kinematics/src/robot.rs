@@ -4,7 +4,7 @@ use crate::arm::ArmModel;
 use crate::config::Config;
 use crate::planar::PlanarModel;
 use crate::pose::RobotPose;
-use copred_geometry::Aabb;
+use copred_geometry::{Aabb, Sphere};
 use rand::Rng;
 
 /// Any robot the reproduction evaluates: a DH arm or a planar disc robot.
@@ -75,7 +75,7 @@ impl Robot {
         }
     }
 
-    /// Forward kinematics.
+    /// Forward kinematics: one center and OBB per link.
     ///
     /// # Panics
     ///
@@ -84,6 +84,41 @@ impl Robot {
         match self {
             Robot::Arm(a) => a.fk(q),
             Robot::Planar(p) => p.fk(q),
+        }
+    }
+
+    /// [`Robot::fk`] into a caller-owned pose. `pose` is cleared and
+    /// refilled; once it has held one pose of this robot, the call does
+    /// not allocate. Hot loops keep one pose per thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` has the wrong number of DOFs.
+    pub fn fk_into(&self, q: &Config, pose: &mut RobotPose) {
+        match self {
+            Robot::Arm(a) => a.fk_into(q, pose),
+            Robot::Planar(p) => p.fk_into(q, pose),
+        }
+    }
+
+    /// The §VII-1 sphere sets, one per link (base outward). Forward
+    /// kinematics does not build them; only the sphere study asks.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` has the wrong number of DOFs.
+    pub fn link_spheres(&self, q: &Config) -> Vec<Vec<Sphere>> {
+        match self {
+            Robot::Arm(a) => a.link_spheres(q),
+            Robot::Planar(p) => p.link_spheres(q),
+        }
+    }
+
+    /// Number of sphere CDQs needed for one pose check.
+    pub fn sphere_count(&self) -> usize {
+        match self {
+            Robot::Arm(a) => a.dofs() * a.spheres_per_link(),
+            Robot::Planar(_) => 1,
         }
     }
 
@@ -140,6 +175,10 @@ mod tests {
             let q = Config::zeros(r.dofs());
             let pose = r.fk(&q);
             assert_eq!(pose.links.len(), r.link_count(), "{}", r.name());
+            let spheres = r.link_spheres(&q);
+            assert_eq!(spheres.len(), r.link_count(), "{}", r.name());
+            let n: usize = spheres.iter().map(Vec::len).sum();
+            assert_eq!(n, r.sphere_count(), "{}", r.name());
         }
     }
 

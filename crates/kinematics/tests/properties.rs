@@ -88,8 +88,8 @@ proptest! {
     #[test]
     fn sphere_set_encloses_obb_center(q in config7()) {
         let arm = presets::jaco2();
-        for link in arm.fk(&q).links {
-            prop_assert!(link.spheres.iter().any(|s| s.contains(link.center)));
+        for (link, spheres) in arm.fk(&q).links.iter().zip(arm.link_spheres(&q)) {
+            prop_assert!(spheres.iter().any(|s| s.contains(link.center)));
         }
     }
 }

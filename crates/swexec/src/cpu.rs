@@ -10,10 +10,9 @@
 
 use crate::concurrent_cht::ConcurrentCht;
 use copred_collision::Environment;
-use copred_core::hash::CollisionHash;
-use copred_core::HashInput;
 use copred_core::{ChtParams, CoordHash};
-use copred_kinematics::{Config, Robot};
+use copred_geometry::{Obb, Vec3};
+use copred_kinematics::{Config, Robot, RobotPose};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -55,6 +54,12 @@ pub struct CpuExecResult {
 /// Runs motion-environment collision detection for `motions` (each already
 /// discretized into sample poses) across `cfg.n_threads` threads.
 ///
+/// Each worker owns its FK pose, hash buffers and deferred-CDQ queue,
+/// sized once up front, so the heap allocations of a run depend on the
+/// thread count and not on the number of motions or poses. Each pose's
+/// link codes are computed once, in one batch, and the queue carries them
+/// to the execute pass.
+///
 /// # Panics
 ///
 /// Panics when `cfg.n_threads` is zero.
@@ -70,6 +75,8 @@ pub fn run_cpu(
     let cdqs = AtomicU64::new(0);
     let colliding = AtomicU64::new(0);
     let next = AtomicUsize::new(0);
+    let links = robot.link_count();
+    let max_poses = motions.iter().map(Vec::len).max().unwrap_or(0);
 
     let run_span = copred_obs::span("swexec", "run_cpu");
     let start = Instant::now();
@@ -93,6 +100,13 @@ pub fn run_cpu(
                     state ^= state << 17;
                     (state >> 11) as f64 / (1u64 << 53) as f64
                 };
+                let mut pose = RobotPose {
+                    links: Vec::with_capacity(links),
+                };
+                let mut centers: Vec<Vec3> = Vec::with_capacity(links);
+                let mut codes = vec![0u64; links];
+                // Deferred CDQs: (link code, link OBB).
+                let mut queue: Vec<(u64, Obb)> = Vec::with_capacity(max_poses * links);
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= motions.len() {
@@ -105,16 +119,13 @@ pub fn run_cpu(
                         // Algorithm 1: predicted CDQs first, queue the rest.
                         let predict_span = copred_obs::span("swexec", "predict");
                         let predict_stage = copred_obs::stage(copred_obs::Stage::Predict);
-                        let mut queue: Vec<(usize, copred_geometry::Vec3, copred_geometry::Obb)> =
-                            Vec::new();
-                        'outer: for (pi, q) in poses.iter().enumerate() {
-                            let pose = robot.fk(q);
-                            for link in &pose.links {
-                                let input = HashInput {
-                                    config: q,
-                                    center: link.center,
-                                };
-                                let code = hash.code(&input);
+                        queue.clear();
+                        'outer: for q in poses {
+                            robot.fk_into(q, &mut pose);
+                            centers.clear();
+                            centers.extend(pose.links.iter().map(|l| l.center));
+                            hash.code_batch(&centers, &mut codes);
+                            for (link, &code) in pose.links.iter().zip(&codes) {
                                 if cht.predict(code) {
                                     executed += 1;
                                     let c = env.obb_collides(&link.obb);
@@ -124,7 +135,7 @@ pub fn run_cpu(
                                         break 'outer;
                                     }
                                 } else {
-                                    queue.push((pi, link.center, link.obb));
+                                    queue.push((code, link.obb));
                                 }
                             }
                         }
@@ -133,14 +144,10 @@ pub fn run_cpu(
                         if !hit {
                             let _execute_span = copred_obs::span("swexec", "execute");
                             let _execute_stage = copred_obs::stage(copred_obs::Stage::Execute);
-                            for (pi, center, obb) in queue {
+                            for &(code, obb) in &queue {
                                 executed += 1;
                                 let c = env.obb_collides(&obb);
-                                let input = HashInput {
-                                    config: &poses[pi],
-                                    center,
-                                };
-                                cht.observe(hash.code(&input), c, rand01());
+                                cht.observe(code, c, rand01());
                                 if c {
                                     hit = true;
                                     break;
@@ -152,7 +159,7 @@ pub fn run_cpu(
                         let _execute_span = copred_obs::span("swexec", "execute");
                         let _execute_stage = copred_obs::stage(copred_obs::Stage::Execute);
                         'outer2: for q in poses {
-                            let pose = robot.fk(q);
+                            robot.fk_into(q, &mut pose);
                             for link in &pose.links {
                                 executed += 1;
                                 if env.obb_collides(&link.obb) {
