@@ -1,5 +1,4 @@
-//! Exporters for drained event buffers: Chrome `chrome://tracing` /
-//! Perfetto JSON, and line-delimited JSON for ad-hoc tooling.
+//! The Chrome `chrome://tracing` / Perfetto exporter for recorded events.
 //!
 //! Spans are emitted as complete (`"ph":"X"`) events, markers as instants
 //! (`"ph":"i"`), counter samples as `"ph":"C"` — load the file straight
@@ -117,36 +116,6 @@ pub fn chrome_trace_json_with_profile(events: &[Event], profile: &crate::Profile
     )
 }
 
-/// Renders events as JSONL: one raw event object per line, with the full
-/// recorder fields (seq, exact nanoseconds) that the Chrome form rounds.
-pub fn events_jsonl(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 112);
-    for e in events {
-        let kind = match e.kind {
-            EventKind::Span => "span",
-            EventKind::Instant => "instant",
-            EventKind::Counter => "counter",
-        };
-        let trace = match crate::tracectx::TraceId::new(e.trace) {
-            Some(id) => format!(",\"trace\":\"{}\"", id.to_hex()),
-            None => String::new(),
-        };
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"{kind}\",\"cat\":\"{}\",\"name\":\"{}\",\"tid\":{},\"seq\":{},\"ts_ns\":{},\"dur_ns\":{},\"value\":{}{}}}",
-            json_escape(e.cat),
-            json_escape(e.name),
-            e.tid,
-            e.seq,
-            e.ts_ns,
-            e.dur_ns,
-            e.value,
-            trace
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,19 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_one_object_per_line() {
-        let text = events_jsonl(&sample());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
-        assert!(lines[0].contains("\"kind\":\"span\""));
-        assert!(lines[1].contains("\"value\":17"));
-        assert!(lines[2].contains("\"kind\":\"instant\""));
-    }
-
-    #[test]
     fn names_are_escaped() {
         let ev = Event {
             name: "weird\"name\\with\ncontrol",
@@ -235,7 +191,6 @@ mod tests {
     #[test]
     fn empty_trace_is_valid() {
         assert_eq!(chrome_trace_json(&[]), "{\"traceEvents\":[\n]}\n");
-        assert_eq!(events_jsonl(&[]), "");
     }
 
     #[test]
@@ -260,20 +215,17 @@ mod tests {
     #[test]
     fn traced_events_carry_trace_args_untraced_stay_identical() {
         let mut evs = sample();
-        let before = (chrome_trace_json(&evs), events_jsonl(&evs));
+        let before = chrome_trace_json(&evs);
         evs[0].trace = 0xFEED;
         evs[1].trace = 0xFEED;
         let json = chrome_trace_json(&evs);
         let hex = "0000000000000000000000000000feed";
         assert!(json.contains(&format!("\"args\":{{\"trace\":\"{hex}\"}}")));
         assert!(json.contains(&format!("\"value\":17,\"trace\":\"{hex}\"")));
-        let jsonl = events_jsonl(&evs);
-        assert_eq!(jsonl.matches(hex).count(), 2);
         // The untraced instant line is byte-identical to the old format.
         evs[0].trace = 0;
         evs[1].trace = 0;
-        assert_eq!(chrome_trace_json(&evs), before.0);
-        assert_eq!(events_jsonl(&evs), before.1);
+        assert_eq!(chrome_trace_json(&evs), before);
     }
 
     /// A strict JSON string-literal parser: consumes `"..."` from the
@@ -368,8 +320,8 @@ mod tests {
 
     #[test]
     fn exporters_round_trip_hostile_names() {
-        // Run a hostile name through the full Chrome + JSONL exporters
-        // and re-extract it with the strict parser.
+        // Run a hostile name through the full Chrome exporter and
+        // re-extract it with the strict parser.
         let name: &'static str = "h0stile \"name\"\\\n\t\u{7f}\u{2028}日本語";
         let ev = Event {
             name,
@@ -377,13 +329,12 @@ mod tests {
             kind: EventKind::Span,
             ..Event::default()
         };
-        for rendered in [chrome_trace_json(&[ev]), events_jsonl(&[ev])] {
-            let at = rendered.find("\"name\":").expect("name key") + "\"name\":".len();
-            let (decoded, _) = parse_json_string(&rendered[at..]).expect("strict parse");
-            assert_eq!(decoded, name);
-            let at = rendered.find("\"cat\":").expect("cat key") + "\"cat\":".len();
-            let (decoded, _) = parse_json_string(&rendered[at..]).expect("strict parse");
-            assert_eq!(decoded, "cat\"egory\\");
-        }
+        let rendered = chrome_trace_json(&[ev]);
+        let at = rendered.find("\"name\":").expect("name key") + "\"name\":".len();
+        let (decoded, _) = parse_json_string(&rendered[at..]).expect("strict parse");
+        assert_eq!(decoded, name);
+        let at = rendered.find("\"cat\":").expect("cat key") + "\"cat\":".len();
+        let (decoded, _) = parse_json_string(&rendered[at..]).expect("strict parse");
+        assert_eq!(decoded, "cat\"egory\\");
     }
 }

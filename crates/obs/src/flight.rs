@@ -1,223 +1,64 @@
-//! Always-on flight recorder: a bounded per-thread ring of recent op
-//! summaries and span edges — the "black box" that survives until a
-//! panic, an admin `dump` op, or a latency-threshold trip asks for it.
+//! Always-on flight recorder: the last [`FLIGHT_CAPACITY`] op summaries
+//! of each thread — the "black box" that an admin `dump` op,
+//! `GET /debug/flight` or a latency-threshold trip reads.
 //!
-//! Unlike the span recorder ([`crate::span`]), which is globally gated
-//! and *drops* on overflow (a trace with holes is better than a trace
-//! that perturbs the workload), the flight recorder is never disabled and
-//! *overwrites* its oldest entries: the value of a black box is the most
-//! recent history, not a complete one. Each thread owns a fixed ring
-//! behind its own (uncontended) mutex; a snapshot locks each ring in turn
-//! and merges by global sequence number. Rings of exited threads are
-//! folded into a bounded retired buffer so their final entries stay
-//! visible without growing the registry forever.
+//! A flight op is an [`Event`] with `cat: "op"`, kept in the calling
+//! thread's flight ring next to its span ring (see [`crate::span`]).
+//! Unlike spans it is never disabled: the value of a black box is the most
+//! recent history, so recording costs one uncontended per-thread lock and
+//! a slot store, with no allocation per op and no lock shared across
+//! threads. Snapshots are non-destructive and sequence-ordered; ops of
+//! exited threads stay visible in a bounded retired ring.
 
-use crate::threadreg::ThreadRegistry;
+use crate::span::{self, Event, Recorder};
 use crate::tracectx;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// What a [`FlightEntry`] summarizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightKind {
-    /// A completed protocol op (`value` = session id or batch size,
-    /// `dur_ns` = end-to-end latency).
-    Op,
-    /// A span edge mirrored from the tracing instrumentation
-    /// (`ts_ns`/`dur_ns` as in [`crate::Event`]).
-    Edge,
-}
-
-/// One flight-recorder entry. `Copy` and heap-free like [`crate::Event`].
-#[derive(Debug, Clone, Copy)]
-pub struct FlightEntry {
-    /// Entry name (op verb or span name).
-    pub name: &'static str,
-    /// Entry kind.
-    pub kind: FlightKind,
-    /// Recording thread id (flight-recorder-local dense ids).
-    pub tid: u32,
-    /// Global sequence number (total order across threads).
-    pub seq: u64,
-    /// Nanoseconds on the recorder epoch clock.
-    pub ts_ns: u64,
-    /// Duration in nanoseconds (0 when not applicable).
-    pub dur_ns: u64,
-    /// Op payload: session id, batch size, or other small summary value.
-    pub value: u64,
-    /// Causal trace id from the thread's current-trace cell (0 = none).
-    pub trace: u128,
-}
 
 /// Per-thread ring capacity (entries).
 pub const FLIGHT_CAPACITY: usize = 256;
 
-/// Retired-thread buffer capacity (entries, across all exited threads).
-const RETIRED_CAPACITY: usize = 1024;
+/// Retired-thread ring capacity (entries, across all exited threads).
+pub(crate) const FLIGHT_RETIRED_CAPACITY: usize = 1024;
 
-struct RingInner {
-    slots: Vec<FlightEntry>,
-    /// Next write position; wraps modulo `FLIGHT_CAPACITY` once full.
-    head: usize,
-}
-
-/// One thread's flight ring. The mutex is only ever contended while a
-/// snapshot is being taken, so the always-on write path costs an
-/// uncontended lock plus a 64-byte store.
-struct FlightRing {
-    inner: Mutex<RingInner>,
-}
-
-impl FlightRing {
-    fn new() -> Self {
-        FlightRing {
-            inner: Mutex::new(RingInner {
-                slots: Vec::with_capacity(FLIGHT_CAPACITY),
-                head: 0,
-            }),
-        }
-    }
-
-    fn push(&self, entry: FlightEntry) {
-        let mut inner = self.inner.lock().expect("flight ring lock");
-        if inner.slots.len() < FLIGHT_CAPACITY {
-            inner.slots.push(entry);
-        } else {
-            let head = inner.head;
-            inner.slots[head] = entry;
-        }
-        inner.head = (inner.head + 1) % FLIGHT_CAPACITY;
-    }
-
-    /// Copies the live entries oldest-first without consuming them.
-    fn snapshot_into(&self, out: &mut Vec<FlightEntry>) {
-        let inner = self.inner.lock().expect("flight ring lock");
-        if inner.slots.len() < FLIGHT_CAPACITY {
-            out.extend_from_slice(&inner.slots);
-        } else {
-            out.extend_from_slice(&inner.slots[inner.head..]);
-            out.extend_from_slice(&inner.slots[..inner.head]);
-        }
-    }
-}
-
-/// Global flight-recorder state. Per-thread rings live in
-/// [`FLIGHT_REG`], the shared thread registry.
-struct Flight {
-    retired: Mutex<Vec<FlightEntry>>,
-    seq: AtomicU64,
-}
-
-static FLIGHT: Flight = Flight {
-    retired: Mutex::new(Vec::new()),
-    seq: AtomicU64::new(0),
-};
-
-static FLIGHT_REG: ThreadRegistry<FlightRing> = ThreadRegistry::new();
-
-struct FlightHandle {
-    ring: Arc<FlightRing>,
-    tid: u32,
-}
-
-thread_local! {
-    static FLIGHT_HANDLE: FlightHandle = {
-        let ring = Arc::new(FlightRing::new());
-        let tid = FLIGHT_REG.alloc_tid();
-        FLIGHT_REG.insert(Arc::clone(&ring));
-        FlightHandle { ring, tid }
-    };
-}
-
-fn push_entry(mut entry: FlightEntry) {
-    entry.seq = FLIGHT.seq.fetch_add(1, Ordering::Relaxed);
-    entry.trace = tracectx::current_raw();
-    FLIGHT_HANDLE.with(|h| {
-        entry.tid = h.tid;
-        h.ring.push(entry);
-    });
-}
-
-/// Notes a completed protocol op in the calling thread's flight ring.
+/// Notes a completed protocol op in the calling thread's flight ring
+/// (`value` = session id or batch size, `dur_ns` = end-to-end latency).
 /// Always on — there is no enable gate to check.
 pub fn flight_op(name: &'static str, value: u64, dur_ns: u64) {
-    push_entry(FlightEntry {
-        name,
-        kind: FlightKind::Op,
-        tid: 0,
-        seq: 0,
-        ts_ns: crate::span::clock_ns(),
-        dur_ns,
-        value,
-        trace: 0,
-    });
-}
-
-/// Notes a span edge (explicit start + duration) in the calling thread's
-/// flight ring.
-pub fn flight_edge(name: &'static str, ts_ns: u64, dur_ns: u64) {
-    push_entry(FlightEntry {
-        name,
-        kind: FlightKind::Edge,
-        tid: 0,
-        seq: 0,
-        ts_ns,
-        dur_ns,
-        value: 0,
-        trace: 0,
-    });
+    span::record(
+        Recorder::Flight,
+        Event {
+            name,
+            cat: "op",
+            ts_ns: span::now_ns(),
+            dur_ns,
+            value,
+            ..Event::default()
+        },
+    );
 }
 
 /// Takes a non-destructive, sequence-ordered snapshot of every thread's
-/// flight ring plus the retired buffer. Rings of exited threads are
-/// folded into the bounded retired buffer on the way.
-pub fn flight_snapshot() -> Vec<FlightEntry> {
-    let mut out = Vec::new();
-    {
-        let mut retired_now = Vec::new();
-        FLIGHT_REG.sweep(|ring, live| {
-            if live {
-                ring.snapshot_into(&mut out);
-            } else {
-                ring.snapshot_into(&mut retired_now);
-            }
-        });
-        let mut retired = FLIGHT.retired.lock().expect("flight retired lock");
-        retired.append(&mut retired_now);
-        if retired.len() > RETIRED_CAPACITY {
-            // Keep the newest entries: the buffer is append-ordered per
-            // fold but not globally sorted, so sort by seq before cutting.
-            retired.sort_by_key(|e| e.seq);
-            let cut = retired.len() - RETIRED_CAPACITY;
-            retired.drain(..cut);
-        }
-        out.extend_from_slice(&retired);
-    }
-    out.sort_by_key(|e| e.seq);
-    out
+/// flight ring plus the retired ring.
+pub fn flight_snapshot() -> Vec<Event> {
+    span::collect(Recorder::Flight, false)
 }
 
 /// Renders flight entries as a JSON array (one object per entry), the
 /// `/debug/flight` payload. Trace ids render as 32-digit hex strings;
 /// entries without a trace carry an empty string.
-pub fn flight_json(entries: &[FlightEntry]) -> String {
+pub fn flight_json(entries: &[Event]) -> String {
     let mut out = String::with_capacity(entries.len() * 96 + 16);
     out.push('[');
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let kind = match e.kind {
-            FlightKind::Op => "op",
-            FlightKind::Edge => "edge",
-        };
         let trace = match tracectx::TraceId::new(e.trace) {
             Some(id) => id.to_hex(),
             None => String::new(),
         };
         out.push_str(&format!(
             "{{\"kind\":\"{}\",\"name\":\"{}\",\"tid\":{},\"seq\":{},\"ts_ns\":{},\"dur_ns\":{},\"value\":{},\"trace\":\"{}\"}}",
-            kind,
+            crate::chrome::json_escape(e.cat),
             crate::chrome::json_escape(e.name),
             e.tid,
             e.seq,
@@ -229,44 +70,6 @@ pub fn flight_json(entries: &[FlightEntry]) -> String {
     }
     out.push(']');
     out
-}
-
-static PANIC_HOOK: OnceLock<()> = OnceLock::new();
-
-/// Installs a panic hook (once per process; later calls are no-ops) that
-/// dumps the flight snapshot before delegating to the previous hook. With
-/// `dir` set the dump is written to `flight-panic-<pid>.json` in that
-/// directory; otherwise the last few entries go to stderr.
-pub fn install_flight_panic_hook(dir: Option<std::path::PathBuf>) {
-    PANIC_HOOK.get_or_init(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let entries = flight_snapshot();
-            let json = flight_json(&entries);
-            match &dir {
-                Some(d) => {
-                    let path = d.join(format!("flight-panic-{}.json", std::process::id()));
-                    if std::fs::write(&path, &json).is_ok() {
-                        eprintln!(
-                            "copred flight recorder: {} entries dumped to {}",
-                            entries.len(),
-                            path.display()
-                        );
-                    }
-                }
-                None => {
-                    let tail_from = entries.len().saturating_sub(16);
-                    eprintln!(
-                        "copred flight recorder ({} entries, last {} shown): {}",
-                        entries.len(),
-                        entries.len() - tail_from,
-                        flight_json(&entries[tail_from..])
-                    );
-                }
-            }
-            prev(info);
-        }));
-    });
 }
 
 #[cfg(test)]
@@ -282,7 +85,7 @@ mod tests {
             for i in 0..total {
                 flight_op("wrap_test", i as u64, 0);
             }
-            let snap: Vec<FlightEntry> = flight_snapshot()
+            let snap: Vec<Event> = flight_snapshot()
                 .into_iter()
                 .filter(|e| e.name == "wrap_test")
                 .collect();
@@ -297,7 +100,7 @@ mod tests {
         let expect_first = (total - FLIGHT_CAPACITY) as u64;
         for (i, e) in snap.iter().enumerate() {
             assert_eq!(e.value, expect_first + i as u64, "overwrite order at {i}");
-            assert_eq!(e.kind, FlightKind::Op);
+            assert_eq!(e.cat, "op");
         }
         for w in snap.windows(2) {
             assert!(w[0].seq < w[1].seq, "snapshot must be seq-ordered");
@@ -311,15 +114,11 @@ mod tests {
             {
                 let _t = tracectx::TraceScope::enter(Some(id));
                 flight_op("traced_op", 1, 500);
-                flight_edge("traced_edge", 10, 20);
             }
             flight_op("untraced_op", 2, 0);
             let snap = flight_snapshot();
             let op = snap.iter().find(|e| e.name == "traced_op").unwrap();
             assert_eq!(op.trace, id.raw());
-            let edge = snap.iter().find(|e| e.name == "traced_edge").unwrap();
-            assert_eq!(edge.trace, id.raw());
-            assert_eq!(edge.kind, FlightKind::Edge);
             let bare = snap.iter().find(|e| e.name == "untraced_op").unwrap();
             assert_eq!(bare.trace, 0);
         })
@@ -348,21 +147,23 @@ mod tests {
 
     #[test]
     fn flight_json_is_parseable_shape() {
-        let entries = vec![FlightEntry {
+        let entries = vec![Event {
             name: "check_motion",
-            kind: FlightKind::Op,
+            cat: "op",
             tid: 3,
             seq: 41,
             ts_ns: 1_000,
             dur_ns: 2_000,
             value: 7,
             trace: 0xAB,
+            ..Event::default()
         }];
         let json = flight_json(&entries);
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"kind\":\"op\""));
-        assert!(json.contains("\"name\":\"check_motion\""));
-        assert!(json.contains("\"trace\":\"000000000000000000000000000000ab\""));
+        assert_eq!(
+            json,
+            "[{\"kind\":\"op\",\"name\":\"check_motion\",\"tid\":3,\"seq\":41,\"ts_ns\":1000,\
+             \"dur_ns\":2000,\"value\":7,\"trace\":\"000000000000000000000000000000ab\"}]"
+        );
         assert_eq!(flight_json(&[]), "[]");
     }
 }

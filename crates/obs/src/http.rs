@@ -9,8 +9,9 @@
 //!
 //! The endpoint is hardened against hostile or broken peers: the request
 //! head (request line + headers) is bounded by [`MAX_HEAD`] and an
-//! over-long request line gets a structured `400`; reads and writes carry
-//! a timeout so a stalled client cannot wedge the accept loop; unknown
+//! over-long request line gets a structured `400`; the whole head must
+//! arrive within one timeout and writes carry the same timeout, so neither
+//! a stalled nor a drip-feeding client can wedge the accept loop; unknown
 //! paths and non-GET methods get structured `404`/`405` responses.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -18,7 +19,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Renders a page on each request.
 pub type RenderFn = dyn Fn() -> String + Send + Sync;
@@ -128,7 +129,8 @@ fn accept_loop(
                     return;
                 }
                 // Scrapes are tiny; serve inline so a slow renderer can't
-                // pile up threads. A hung peer is bounded by the timeout.
+                // pile up threads. A hung peer is bounded by the head
+                // deadline and the write timeout.
                 let _ = serve_one(stream, routes, timeout);
             }
             Err(_) if stopping.load(Ordering::Acquire) => return,
@@ -140,10 +142,30 @@ fn accept_loop(
 /// Longest request head (request line + headers) accepted.
 const MAX_HEAD: usize = 8 * 1024;
 
-fn serve_one(stream: TcpStream, routes: &Routes, timeout: Duration) -> io::Result<()> {
-    stream.set_read_timeout(Some(timeout))?;
+/// Reads from a socket until a deadline: each read waits at most the time
+/// left, so a peer sending one byte at a time cannot stretch the total.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+fn serve_one(mut stream: TcpStream, routes: &Routes, timeout: Duration) -> io::Result<()> {
     stream.set_write_timeout(Some(timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: stream.try_clone()?,
+        deadline: Instant::now() + timeout,
+    });
     let mut request_line = String::new();
     reader
         .by_ref()
@@ -170,10 +192,8 @@ fn serve_one(stream: TcpStream, routes: &Routes, timeout: Duration) -> io::Resul
         // The peer overran the head bound; whatever it already sent is
         // still queued, and closing with unread data resets the
         // connection before our response arrives. Drain a bounded amount
-        // under a short timeout, then answer.
-        let _ = reader
-            .get_ref()
-            .set_read_timeout(Some(Duration::from_millis(100)));
+        // under a short deadline, then answer.
+        reader.get_mut().deadline = Instant::now() + Duration::from_millis(100);
         let mut sink = [0u8; 4096];
         let mut budget: usize = 1 << 20;
         while budget > 0 {
@@ -183,7 +203,6 @@ fn serve_one(stream: TcpStream, routes: &Routes, timeout: Duration) -> io::Resul
             }
         }
     }
-    let mut stream = reader.into_inner();
     let mut fields = request_line.split_whitespace();
     let (method, path) = (fields.next().unwrap_or(""), fields.next().unwrap_or(""));
     let path = path.split('?').next().unwrap_or("");
@@ -405,6 +424,47 @@ mod tests {
             start.elapsed()
         );
         drop(stalled);
+    }
+
+    #[test]
+    fn drip_feeding_client_cannot_pin_the_accept_loop() {
+        let s = MetricsServer::start_inner(
+            "127.0.0.1:0",
+            vec![(
+                "/metrics".to_string(),
+                Arc::new(|| "copred_up 1\n".to_string()) as Arc<RenderFn>,
+            )],
+            Duration::from_millis(200),
+        )
+        .expect("bind");
+        // One byte every 150 ms lands inside every per-read timeout; only
+        // a deadline on the whole head cuts this peer off.
+        let mut drip = TcpStream::connect(s.local_addr()).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let dripper = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    if drip.write_all(b"G").is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(150));
+                }
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        let scraped = http_get(s.local_addr(), "/metrics");
+        let waited = start.elapsed();
+        // Stop the dripper before asserting, so a failure cannot leave the
+        // accept loop pinned while the server's drop joins it.
+        stop.store(true, Ordering::Release);
+        dripper.join().unwrap();
+        assert_eq!(scraped.expect("served despite drip"), "copred_up 1\n");
+        assert!(
+            waited < Duration::from_secs(1),
+            "drip-feeding peer held the loop {waited:?}"
+        );
     }
 
     #[test]

@@ -3,13 +3,16 @@
 //! Three std-only pieces, designed to be cheap enough to leave compiled
 //! into release hot paths:
 //!
-//! * [`span`]/[`instant`]/[`counter`] — a zero-alloc, lock-free recorder.
-//!   Each thread writes into its own SPSC ring; a drain merges rings by
-//!   global sequence number. When recording is disabled (the default) an
-//!   instrumentation site costs one relaxed atomic load and a branch.
-//! * [`chrome_trace_json`]/[`events_jsonl`] — exporters for the drained
-//!   events. The Chrome form loads directly into `chrome://tracing` or
-//!   Perfetto.
+//! * [`span`]/[`instant`]/[`counter`] and [`flight_op`] — a zero-alloc
+//!   recorder. Each thread writes [`Event`]s into its own fixed-capacity
+//!   rings, one for spans and one for the always-on flight recorder, each
+//!   behind that thread's uncontended mutex; a full ring overwrites its
+//!   oldest event. Snapshots copy without consuming and merge rings by
+//!   global sequence number. When span recording is disabled (the
+//!   default) an instrumentation site costs one relaxed atomic load and a
+//!   branch.
+//! * [`chrome_trace_json`]/[`flight_json`] — exporters for snapshots. The
+//!   Chrome form loads directly into `chrome://tracing` or Perfetto.
 //! * [`PromBuf`]/[`parse_prometheus`]/[`MetricsServer`] — Prometheus
 //!   text-exposition (0.0.4) rendering, a parser for round-trip and
 //!   scrape-based conformance tests, and a plain `std::net` HTTP endpoint
@@ -25,7 +28,7 @@
 //! service, software executor, and accelerator simulator each decide what
 //! to record and how to name it.
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bench;
@@ -43,11 +46,8 @@ pub use bench::{
     check_against_baseline, BenchRecord, BenchReport, BenchWriter, Better, CheckConfig, MetricKind,
     Regression, BENCH_SCHEMA_VERSION,
 };
-pub use chrome::{chrome_trace_json, chrome_trace_json_with_profile, events_jsonl};
-pub use flight::{
-    flight_edge, flight_json, flight_op, flight_snapshot, install_flight_panic_hook, FlightEntry,
-    FlightKind, FLIGHT_CAPACITY,
-};
+pub use chrome::{chrome_trace_json, chrome_trace_json_with_profile};
+pub use flight::{flight_json, flight_op, flight_snapshot, FLIGHT_CAPACITY};
 pub use http::{http_get, MetricsServer, RenderFn};
 pub use profile::{
     sample_once, stage, PathKey, Profile, ProfileSnapshot, Sampler, Stage, StageCell, StageGuard,
@@ -55,8 +55,8 @@ pub use profile::{
 };
 pub use prom::{parse_prometheus, PromBuf, PromSample};
 pub use span::{
-    counter, disable, drain_events, dropped_events, enable, enabled, instant, span, span_at,
-    timestamp_ns, Collector, Event, EventKind, SpanGuard,
+    counter, disable, drain_events, dropped_events, enable, enabled, instant, snapshot_events,
+    span, span_at, timestamp_ns, Event, EventKind, SpanGuard,
 };
 pub use tracectx::{current_trace, set_current_trace, TraceId, TraceScope};
 pub use vclock::{TrackId, VEvent, VEventKind, VirtualTrace};

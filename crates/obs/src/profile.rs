@@ -25,7 +25,7 @@
 use crate::threadreg::ThreadRegistry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A pipeline stage a thread can be in. Discriminants are the on-cell
@@ -516,6 +516,9 @@ impl Default for ProfileSnapshot {
 #[derive(Debug)]
 pub struct Sampler {
     stop: Arc<AtomicBool>,
+    /// Taken poison-tolerantly: a tick cut short by a panic leaves a
+    /// profile that is merely missing part of one sample, and `/metrics`
+    /// reads it on every scrape.
     shared: Arc<Mutex<Profile>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -542,7 +545,7 @@ impl Sampler {
                             std::thread::sleep(next - now);
                         }
                         {
-                            let mut profile = shared.lock().expect("profile lock");
+                            let mut profile = shared.lock().unwrap_or_else(PoisonError::into_inner);
                             sample_once(&mut profile, 1);
                             let after = Instant::now();
                             if after > next + interval {
@@ -567,7 +570,10 @@ impl Sampler {
 
     /// A copy of everything accumulated so far (the sampler keeps going).
     pub fn snapshot(&self) -> Profile {
-        self.shared.lock().expect("profile lock").clone()
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Stops the thread and returns the final profile.
@@ -576,7 +582,7 @@ impl Sampler {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        std::mem::take(&mut *self.shared.lock().expect("profile lock"))
+        std::mem::take(&mut *self.shared.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 

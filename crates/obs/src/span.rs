@@ -1,21 +1,25 @@
-//! The zero-alloc, lock-free span/event recorder.
+//! The span/event recorder, and the per-thread [`Ring`] it shares with the
+//! flight recorder ([`crate::flight`]).
 //!
-//! Each recording thread owns a fixed-capacity SPSC ring buffer of
-//! [`Event`]s; a collector (any thread holding the registry lock, or the
-//! background [`Collector`] thread) drains every ring and merges the
-//! events by global sequence number. Recording never allocates, never
-//! takes a lock, and never blocks: a full ring drops the event and bumps
-//! a counter instead.
+//! Every recording thread owns one handle holding two rings of [`Event`]s:
+//! its spans (gated by [`enabled`]) and its flight ops (always on). Each
+//! ring is a fixed-capacity buffer behind the thread's own mutex, which
+//! only a snapshot copying it ever contends. A full ring overwrites its
+//! oldest event and counts it in [`dropped_events`]. Reads copy without
+//! consuming and merge rings by global sequence number, so any number of
+//! readers — servers, dump paths, tests — share the process-global rings
+//! without stealing each other's events. Rings of exited threads are
+//! folded into a bounded retired ring per recorder, which keeps the newest
+//! events by `seq`.
 //!
 //! Recording is globally gated by an [`AtomicBool`]; when disabled,
 //! [`span`] and friends cost one relaxed load and a branch, so the
 //! instrumentation can stay compiled into release hot paths.
 
+use crate::flight::{FLIGHT_CAPACITY, FLIGHT_RETIRED_CAPACITY};
 use crate::threadreg::ThreadRegistry;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// What an [`Event`] records.
@@ -30,13 +34,15 @@ pub enum EventKind {
     Counter,
 }
 
-/// One recorded event. `Copy` and free of heap data so ring slots can be
+/// One recorded event: a span, marker or counter sample, or a flight op
+/// (`cat: "op"`). `Copy` and free of heap data so ring slots can be
 /// written without allocation; names are interned `&'static str`s.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Event {
-    /// Span/marker/counter name (e.g. `"execute"`).
+    /// Span/marker/counter name (e.g. `"execute"`), or a flight op's verb.
     pub name: &'static str,
-    /// Category (e.g. `"service"`, `"swexec"`, `"accel"`).
+    /// Category (e.g. `"service"`, `"swexec"`, `"accel"`; `"op"` for
+    /// flight ops).
     pub cat: &'static str,
     /// Event kind.
     pub kind: EventKind,
@@ -46,169 +52,218 @@ pub struct Event {
     pub seq: u64,
     /// Nanoseconds since the recorder epoch.
     pub ts_ns: u64,
-    /// Span duration (0 for instants and counters).
+    /// Span or op duration (0 for instants and counters).
     pub dur_ns: u64,
-    /// Counter value (0 for spans and instants).
+    /// Counter value, or a flight op's session id or batch size.
     pub value: u64,
     /// Causal trace id stamped from the thread's current-trace cell at
     /// record time (0 = no trace). See [`crate::tracectx`].
     pub trace: u128,
 }
 
-/// Default per-thread ring capacity (events). Must be a power of two.
-const RING_CAPACITY: usize = 1 << 14;
+/// Per-thread span ring capacity (events).
+const SPAN_CAPACITY: usize = 1 << 14;
 
-/// A single-producer single-consumer ring. The producer is the owning
-/// thread (reached only through its thread-local handle); the consumer is
-/// whoever holds the [`ThreadRegistry`] lock in [`drain_events`], which
-/// serializes consumers.
-struct Ring {
-    /// `MaybeUninit` so construction never touches the slots: the OS maps
-    /// the (1 MiB-scale) buffer lazily and pages fault in only as events
-    /// accumulate, instead of a zero-fill burst on the first event a
-    /// thread records.
-    slots: Box<[UnsafeCell<MaybeUninit<Event>>]>,
-    /// Next write position (producer-owned, consumer reads with Acquire).
-    head: AtomicUsize,
-    /// Next read position (consumer-owned, producer reads with Acquire).
-    tail: AtomicUsize,
-    /// Events discarded because the ring was full.
-    dropped: AtomicU64,
+/// Span events kept from exited threads, across all of them.
+const SPAN_RETIRED_CAPACITY: usize = 1 << 16;
+
+/// The contents of a [`Ring`].
+#[derive(Debug)]
+struct Slots {
+    events: Vec<Event>,
+    /// Oldest event once `events` is full (and the next one overwritten).
+    head: usize,
+    capacity: usize,
+    /// Events overwritten because the ring was full.
+    overwritten: u64,
 }
 
-// SAFETY: slot `i` is written only by the producer while `i` lies in
-// `[tail, head)`'s complement and read only by the consumer after the
-// producer's `head` Release-store publishes it; head/tail form the usual
-// SPSC handshake. Producer exclusivity holds because `push` is reachable
-// only through the owning thread's thread-local handle, and consumer
-// exclusivity because draining requires the global registry lock.
-unsafe impl Sync for Ring {}
-unsafe impl Send for Ring {}
-
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        debug_assert!(capacity.is_power_of_two());
-        Ring {
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+impl Slots {
+    fn push(&mut self, ev: Event) {
+        if self.events.len() < self.capacity {
+            if self.events.capacity() == 0 {
+                // Reserved on the first event, so a thread that never
+                // records holds no slots and no later push allocates.
+                self.events.reserve_exact(self.capacity);
+            }
+            self.events.push(ev);
+        } else {
+            self.events[self.head] = ev;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
+            self.overwritten += 1;
         }
     }
 
-    #[inline]
-    fn push(&self, ev: Event) {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head.wrapping_sub(tail) >= self.slots.len() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+    /// Appends the events oldest-first.
+    fn copy_into(&self, out: &mut Vec<Event>) {
+        out.extend_from_slice(&self.events[self.head..]);
+        out.extend_from_slice(&self.events[..self.head]);
+    }
+
+    fn clear(&mut self) {
+        self.events.clear();
+        self.head = 0;
+    }
+
+    /// Merges `events` in, keeping the newest `capacity` by `seq`; the
+    /// rest count as overwritten.
+    fn absorb(&mut self, mut events: Vec<Event>) {
+        if events.is_empty() {
             return;
         }
-        let idx = head & (self.slots.len() - 1);
-        // SAFETY: the slot is outside [tail, head) so the consumer will
-        // not read it until the Release store below publishes the write.
-        unsafe { (*self.slots[idx].get()).write(ev) };
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Drains everything currently published. Caller must be the unique
-    /// consumer (holds the registry lock).
-    fn drain_into(&self, out: &mut Vec<Event>) {
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        while tail != head {
-            let idx = tail & (self.slots.len() - 1);
-            // SAFETY: [tail, head) was published by the producer's
-            // Release store on `head`, and every slot in that range was
-            // initialized by `push`.
-            out.push(unsafe { (*self.slots[idx].get()).assume_init() });
-            tail = tail.wrapping_add(1);
+        self.copy_into(&mut events);
+        events.sort_by_key(|e| e.seq);
+        self.clear();
+        for ev in events {
+            self.push(ev);
         }
-        self.tail.store(tail, Ordering::Release);
     }
 }
 
-/// Global recorder state. Per-thread rings live in [`SPAN_REG`], the
-/// shared thread registry.
-struct Recorder {
-    enabled: AtomicBool,
-    epoch: OnceLock<Instant>,
-    seq: AtomicU64,
-    /// Drop counts carried over from rings of exited threads that were
-    /// pruned from the registry.
-    retired_dropped: AtomicU64,
+/// A fixed-capacity event buffer behind its own mutex. When full it
+/// overwrites the oldest event; reading copies without consuming.
+#[derive(Debug)]
+pub(crate) struct Ring(Mutex<Slots>);
+
+impl Ring {
+    const fn new(capacity: usize) -> Ring {
+        Ring(Mutex::new(Slots {
+            events: Vec::new(),
+            head: 0,
+            capacity,
+            overwritten: 0,
+        }))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        // Every `Slots` update leaves it consistent, so the guard of a
+        // holder that panicked is safe to reuse.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
-static RECORDER: Recorder = Recorder {
-    enabled: AtomicBool::new(false),
-    epoch: OnceLock::new(),
-    seq: AtomicU64::new(0),
-    retired_dropped: AtomicU64::new(0),
-};
+/// The two recorders sharing each thread's rings; the discriminant
+/// indexes [`ThreadRings`] and [`RETIRED`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Recorder {
+    /// Spans, markers and counters (gated by [`enabled`]).
+    Spans = 0,
+    /// Flight ops (always on).
+    Flight = 1,
+}
 
-static SPAN_REG: ThreadRegistry<Ring> = ThreadRegistry::new();
+/// One thread's rings, indexed by [`Recorder`].
+type ThreadRings = [Ring; 2];
+
+static THREADS: ThreadRegistry<ThreadRings> = ThreadRegistry::new();
+
+/// Events of exited threads, indexed by [`Recorder`].
+static RETIRED: [Ring; 2] = [
+    Ring::new(SPAN_RETIRED_CAPACITY),
+    Ring::new(FLIGHT_RETIRED_CAPACITY),
+];
+
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+static SEQ: AtomicU64 = AtomicU64::new(0);
 
 struct ThreadHandle {
-    ring: Arc<Ring>,
+    rings: Arc<ThreadRings>,
     tid: u32,
 }
 
 thread_local! {
     static HANDLE: ThreadHandle = {
-        let ring = Arc::new(Ring::new(RING_CAPACITY));
-        let tid = SPAN_REG.alloc_tid();
-        SPAN_REG.insert(Arc::clone(&ring));
-        ThreadHandle { ring, tid }
+        let rings = Arc::new([Ring::new(SPAN_CAPACITY), Ring::new(FLIGHT_CAPACITY)]);
+        let tid = THREADS.alloc_tid();
+        THREADS.insert(Arc::clone(&rings));
+        ThreadHandle { rings, tid }
     };
 }
 
 fn epoch() -> Instant {
-    *RECORDER.epoch.get_or_init(Instant::now)
+    *EPOCH.get_or_init(Instant::now)
 }
 
+/// Nanoseconds on the recorder epoch, pinning it on the first call. The
+/// flight recorder uses it directly, since it timestamps even while span
+/// recording is disabled.
 #[inline]
-fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Crate-internal clock on the recorder epoch, for subsystems (the flight
-/// recorder) that must timestamp even while span recording is disabled.
-/// The first call pins the epoch.
-#[inline]
-pub(crate) fn clock_ns() -> u64 {
-    now_ns()
 }
 
 /// Turns recording on. The first call pins the trace epoch.
 pub fn enable() {
     let _ = epoch();
-    RECORDER.enabled.store(true, Ordering::Release);
+    ENABLED.store(true, Ordering::Release);
 }
 
-/// Turns recording off. Already-buffered events stay drainable.
+/// Turns recording off. Already-recorded events stay readable.
 pub fn disable() {
-    RECORDER.enabled.store(false, Ordering::Release);
+    ENABLED.store(false, Ordering::Release);
 }
 
 /// Whether recording is on. One relaxed load — callers may use this to
 /// skip argument computation entirely.
 #[inline]
 pub fn enabled() -> bool {
-    RECORDER.enabled.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
+/// Stamps `ev` with a sequence number, the current trace (unless it
+/// carries one) and the thread id, and stores it in the calling thread's
+/// ring for `to`.
 #[inline]
-fn record(mut ev: Event) {
-    ev.seq = RECORDER.seq.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn record(to: Recorder, mut ev: Event) {
+    ev.seq = SEQ.fetch_add(1, Ordering::Relaxed);
     if ev.trace == 0 {
         ev.trace = crate::tracectx::current_raw();
     }
     HANDLE.with(|h| {
         ev.tid = h.tid;
-        h.ring.push(ev);
+        h.rings[to as usize].lock().push(ev);
     });
+}
+
+/// Copies `from`'s events, sequence-ordered, out of every thread's ring
+/// and the retired ring; `clear` empties what was copied. Rings of exited
+/// threads are folded into both recorders' retired rings and pruned.
+pub(crate) fn collect(from: Recorder, clear: bool) -> Vec<Event> {
+    // Lock order: retired rings, registry, thread ring. Holding the
+    // retired rings across the sweep keeps a concurrent reader from seeing
+    // a thread pruned from the registry but not yet folded.
+    let mut retired = RETIRED.each_ref().map(Ring::lock);
+    let mut exited: [Vec<Event>; 2] = Default::default();
+    let mut out = Vec::new();
+    THREADS.sweep(|rings, live| {
+        if live {
+            let mut ring = rings[from as usize].lock();
+            ring.copy_into(&mut out);
+            if clear {
+                ring.clear();
+            }
+        } else {
+            for ((ring, into), retired) in rings.iter().zip(&mut exited).zip(&mut retired) {
+                let ring = ring.lock();
+                ring.copy_into(into);
+                retired.overwritten += ring.overwritten;
+            }
+        }
+    });
+    for (retired, exited) in retired.iter_mut().zip(exited) {
+        retired.absorb(exited);
+    }
+    let retired = &mut retired[from as usize];
+    retired.copy_into(&mut out);
+    if clear {
+        retired.clear();
+    }
+    out.sort_by_key(|e| e.seq);
+    out
 }
 
 /// Records a point-in-time marker.
@@ -217,13 +272,16 @@ pub fn instant(cat: &'static str, name: &'static str) {
     if !enabled() {
         return;
     }
-    record(Event {
-        name,
-        cat,
-        kind: EventKind::Instant,
-        ts_ns: now_ns(),
-        ..Event::default()
-    });
+    record(
+        Recorder::Spans,
+        Event {
+            name,
+            cat,
+            kind: EventKind::Instant,
+            ts_ns: now_ns(),
+            ..Event::default()
+        },
+    );
 }
 
 /// Records a counter sample (rendered as a Chrome counter track).
@@ -232,14 +290,17 @@ pub fn counter(cat: &'static str, name: &'static str, value: u64) {
     if !enabled() {
         return;
     }
-    record(Event {
-        name,
-        cat,
-        kind: EventKind::Counter,
-        ts_ns: now_ns(),
-        value,
-        ..Event::default()
-    });
+    record(
+        Recorder::Spans,
+        Event {
+            name,
+            cat,
+            kind: EventKind::Counter,
+            ts_ns: now_ns(),
+            value,
+            ..Event::default()
+        },
+    );
 }
 
 /// Records a completed span with an explicit start and duration — used by
@@ -250,21 +311,24 @@ pub fn span_at(cat: &'static str, name: &'static str, ts_ns: u64, dur_ns: u64) {
     if !enabled() {
         return;
     }
-    record(Event {
-        name,
-        cat,
-        kind: EventKind::Span,
-        ts_ns,
-        dur_ns,
-        ..Event::default()
-    });
+    record(
+        Recorder::Spans,
+        Event {
+            name,
+            cat,
+            kind: EventKind::Span,
+            ts_ns,
+            dur_ns,
+            ..Event::default()
+        },
+    );
 }
 
 /// Nanoseconds since the recorder epoch (0 until first enable). Useful
 /// with [`span_at`].
 #[inline]
 pub fn timestamp_ns() -> u64 {
-    if RECORDER.epoch.get().is_some() {
+    if EPOCH.get().is_some() {
         now_ns()
     } else {
         0
@@ -294,14 +358,17 @@ impl Drop for SpanGuard {
             return;
         }
         let end = now_ns();
-        record(Event {
-            name: self.name,
-            cat: self.cat,
-            kind: EventKind::Span,
-            ts_ns: self.start_ns,
-            dur_ns: end.saturating_sub(self.start_ns),
-            ..Event::default()
-        });
+        record(
+            Recorder::Spans,
+            Event {
+                name: self.name,
+                cat: self.cat,
+                kind: EventKind::Span,
+                ts_ns: self.start_ns,
+                dur_ns: end.saturating_sub(self.start_ns),
+                ..Event::default()
+            },
+        );
     }
 }
 
@@ -325,101 +392,40 @@ pub fn span(cat: &'static str, name: &'static str) -> SpanGuard {
     }
 }
 
-/// Drains every thread's ring into one sequence-ordered vector. Rings of
-/// exited threads are drained one last time, their drop counts folded
-/// into a retired total, and then pruned by the registry sweep.
+/// A sequence-ordered copy of the newest span events of every thread,
+/// exited ones included. Nothing is consumed: concurrent and repeated
+/// snapshots all see the same events until newer ones overwrite them.
+pub fn snapshot_events() -> Vec<Event> {
+    collect(Recorder::Spans, false)
+}
+
+/// Like [`snapshot_events`], then empties every span ring, so the next
+/// call returns only events recorded after this one.
 pub fn drain_events() -> Vec<Event> {
-    let mut out = Vec::new();
-    SPAN_REG.sweep(|ring, live| {
-        ring.drain_into(&mut out);
-        if !live {
-            RECORDER
-                .retired_dropped
-                .fetch_add(ring.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    });
-    out.sort_by_key(|e| e.seq);
-    out
+    collect(Recorder::Spans, true)
 }
 
-/// Total events dropped to full rings since process start.
+/// Span events overwritten in full rings since process start.
 pub fn dropped_events() -> u64 {
-    let mut live = 0u64;
-    SPAN_REG.for_each(|r| live += r.dropped.load(Ordering::Relaxed));
-    live + RECORDER.retired_dropped.load(Ordering::Relaxed)
-}
-
-/// Background collector: periodically drains the rings so long traces
-/// never overflow them, and hands everything back on [`Collector::stop`].
-#[derive(Debug)]
-pub struct Collector {
-    stop: Arc<AtomicBool>,
-    collected: Arc<Mutex<Vec<Event>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Collector {
-    /// Spawns the collector thread, draining every `period`.
-    pub fn start(period: std::time::Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let collected = Arc::new(Mutex::new(Vec::new()));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let collected = Arc::clone(&collected);
-            std::thread::Builder::new()
-                .name("copred-obs-collector".to_string())
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::sleep(period);
-                        let mut batch = drain_events();
-                        collected.lock().expect("collector lock").append(&mut batch);
-                    }
-                })
-                .expect("spawn obs collector")
-        };
-        Collector {
-            stop,
-            collected,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the thread, performs a final drain, and returns every event
-    /// collected, sequence-ordered.
-    pub fn stop(mut self) -> Vec<Event> {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        let mut events = std::mem::take(&mut *self.collected.lock().expect("collector lock"));
-        events.append(&mut drain_events());
-        events.sort_by_key(|e| e.seq);
-        events
-    }
-}
-
-impl Drop for Collector {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    // The retired lock keeps a concurrent fold from moving a ring's count
+    // between the two terms.
+    let retired = RETIRED[Recorder::Spans as usize].lock();
+    let mut n = retired.overwritten;
+    THREADS.for_each(|rings| n += rings[Recorder::Spans as usize].lock().overwritten);
+    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The recorder is process-global; the test runner is multi-threaded.
-    // Every test that records or drains takes this lock so no test steals
-    // another's events or flips the enable flag under it.
+    // The enable flag is process-global and the test runner is
+    // multi-threaded: every test that records or drains spans takes this
+    // lock so no test flips the flag or clears the rings under another.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]
@@ -501,19 +507,25 @@ mod tests {
     }
 
     #[test]
-    fn full_ring_drops_instead_of_blocking() {
+    fn full_ring_overwrites_the_oldest() {
         let _s = serial();
         enable();
         let before = dropped_events();
-        std::thread::spawn(|| {
-            // Overfill one thread's ring without draining.
-            for _ in 0..(RING_CAPACITY + 100) {
-                instant("test", "overflow");
+        let newest = std::thread::spawn(|| {
+            for i in 0..(SPAN_CAPACITY + 100) {
+                counter("test", "overflow", i as u64);
             }
+            snapshot_events()
+                .into_iter()
+                .filter(|e| e.name == "overflow")
+                .map(|e| e.value)
+                .collect::<Vec<u64>>()
         })
         .join()
         .unwrap();
         assert!(dropped_events() >= before + 100);
+        let expect: Vec<u64> = (100..(SPAN_CAPACITY + 100) as u64).collect();
+        assert_eq!(newest, expect, "ring keeps the newest, oldest-first");
         let _ = drain_events();
     }
 
@@ -539,16 +551,39 @@ mod tests {
     }
 
     #[test]
-    fn collector_thread_gathers_across_drains() {
+    fn exited_thread_spans_survive_repeated_and_concurrent_snapshots() {
         let _s = serial();
         enable();
-        let collector = Collector::start(std::time::Duration::from_millis(5));
-        for _ in 0..50 {
-            instant("test", "collector_gathers");
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        let count = |round: u64| {
+            snapshot_events()
+                .iter()
+                .filter(|e| e.name == "exited_thread_span" && e.value == round)
+                .count()
+        };
+        for round in 0..64u64 {
+            std::thread::spawn(move || counter("test", "exited_thread_span", round))
+                .join()
+                .unwrap();
+            // Two readers released together race to fold the exited
+            // thread's ring into the retired ring: neither may miss it.
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        start.wait();
+                        count(round)
+                    })
+                })
+                .collect();
+            for r in readers {
+                assert_eq!(r.join().unwrap(), 1, "round {round}");
+            }
         }
-        let evs = collector.stop();
-        let n = evs.iter().filter(|e| e.name == "collector_gathers").count();
-        assert_eq!(n, 50);
+        // Later snapshots still read them from the retired ring.
+        for _ in 0..2 {
+            assert_eq!((0..64).map(count).sum::<usize>(), 64);
+        }
+        let _ = drain_events();
     }
 }

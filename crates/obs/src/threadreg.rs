@@ -1,7 +1,6 @@
 //! One thread-registration helper shared by every per-thread
-//! observability registry in this crate: the span recorder's SPSC rings
-//! ([`crate::span`]), the flight recorder's rings ([`crate::flight`]),
-//! and the profiler's stage cells ([`crate::profile`]).
+//! observability registry in this crate: the span and flight rings
+//! ([`crate::span`]) and the profiler's stage cells ([`crate::profile`]).
 //!
 //! Each feature used to carry its own copy of the same pattern — a
 //! `Mutex<Vec<Arc<T>>>` plus a dense-tid counter, with dead threads
@@ -9,14 +8,9 @@
 //! thread-local handle dropped, so the registry holds the only
 //! reference) and pruned on the next sweep. Centralizing it here gives
 //! dead-thread parking/pruning a single tested code path.
-//!
-//! Holding the registry lock also serializes consumers: whoever is
-//! inside [`ThreadRegistry::sweep`] or [`ThreadRegistry::for_each`] is
-//! the unique consumer of consumer-side state (e.g. SPSC ring tails),
-//! which the span recorder's safety argument relies on.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A process-global registry of per-thread slots of type `T`.
 pub(crate) struct ThreadRegistry<T> {
@@ -39,15 +33,21 @@ impl<T> ThreadRegistry<T> {
         self.next_tid.fetch_add(1, Ordering::Relaxed)
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<T>>> {
+        // `Vec::push` and `Vec::retain` leave the list valid even when a
+        // visitor panics mid-sweep, so a poisoned guard is safe to reuse.
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Publishes a thread's slot to the registry.
     pub(crate) fn insert(&self, slot: Arc<T>) {
-        self.slots.lock().expect("thread registry lock").push(slot);
+        self.lock().push(slot);
     }
 
     /// Visits every registered slot (live and dead alike) under the
     /// registry lock.
     pub(crate) fn for_each(&self, mut f: impl FnMut(&Arc<T>)) {
-        for slot in self.slots.lock().expect("thread registry lock").iter() {
+        for slot in self.lock().iter() {
             f(slot);
         }
     }
@@ -59,20 +59,17 @@ impl<T> ThreadRegistry<T> {
     /// (retired) and then dropped, so short-lived threads never grow the
     /// registry forever.
     pub(crate) fn sweep(&self, mut visit: impl FnMut(&Arc<T>, bool)) {
-        self.slots
-            .lock()
-            .expect("thread registry lock")
-            .retain(|slot| {
-                let live = Arc::strong_count(slot) > 1;
-                visit(slot, live);
-                live
-            });
+        self.lock().retain(|slot| {
+            let live = Arc::strong_count(slot) > 1;
+            visit(slot, live);
+            live
+        });
     }
 
     /// Registered slots not yet pruned (dead-but-unswept included).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.slots.lock().expect("thread registry lock").len()
+        self.lock().len()
     }
 }
 
@@ -125,6 +122,23 @@ mod tests {
             }
         });
         assert!(retired.is_empty(), "retire callback is once-ever");
+    }
+
+    #[test]
+    fn a_visitor_panic_does_not_wedge_the_registry() {
+        let reg: ThreadRegistry<u32> = ThreadRegistry::new();
+        let live_slot = Arc::new(1u32);
+        reg.insert(Arc::clone(&live_slot));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.sweep(|_, _| panic!("visitor fails"));
+        }));
+        assert!(panicked.is_err(), "the visitor's panic propagates");
+        // The lock is poisoned now; insert and sweep must still work.
+        reg.insert(Arc::new(2u32));
+        let mut seen = Vec::new();
+        reg.sweep(|s, live| seen.push((**s, live)));
+        assert_eq!(seen, vec![(1, true), (2, false)]);
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]

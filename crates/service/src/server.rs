@@ -57,11 +57,10 @@ pub struct ServerConfig {
     /// and warm-start sessions whose `open` carries a matching environment
     /// fingerprint. `None` disables persistence.
     pub store_dir: Option<String>,
-    /// When set, enable span recording, retain recent spans in memory, and
-    /// write flight + Chrome-trace dumps (`flight-<n>.json`,
-    /// `trace-<n>.json`) into this directory on every `dump` op or
-    /// auto-dump. `None` keeps dumps in-memory only (`/debug/flight`
-    /// still works).
+    /// When set, enable span recording and write flight + Chrome-trace
+    /// dumps (`flight-<n>.json`, `trace-<n>.json`) into this directory on
+    /// every `dump` op or auto-dump. `None` keeps dumps in-memory only
+    /// (`/debug/flight` still works).
     pub trace_dump: Option<String>,
     /// Latency threshold (milliseconds) above which a check batch trips an
     /// automatic flight dump, rate-limited to one per second. 0 disables
@@ -163,19 +162,12 @@ impl JobQueue {
     }
 }
 
-/// Spans retained for dump export when `trace_dump` is set (events; the
-/// oldest are trimmed first).
-const SPAN_RETENTION: usize = 1 << 16;
-
 /// State shared by the accept loop, connection handlers, and workers.
 struct Shared {
     registry: SessionRegistry,
     metrics: Metrics,
     queue: JobQueue,
     config: ServerConfig,
-    /// Recent span events, retained by the drain thread when `trace_dump`
-    /// is set; `None` otherwise.
-    spans: Option<Mutex<VecDeque<copred_obs::Event>>>,
     /// Monotonic dump file counter (`flight-<n>.json` / `trace-<n>.json`).
     dump_seq: AtomicU64,
     /// Milliseconds since `started` of the last auto-dump plus one
@@ -216,25 +208,8 @@ fn maybe_auto_dump(shared: &Shared) {
     }
 }
 
-/// Pulls freshly recorded spans into the bounded retention buffer. Called
-/// by the retention thread and before every dump export.
-fn retain_spans(shared: &Shared) {
-    let Some(spans) = &shared.spans else {
-        return;
-    };
-    let batch = copred_obs::drain_events();
-    if batch.is_empty() {
-        return;
-    }
-    let mut buf = spans.lock().expect("span retention lock");
-    buf.extend(batch);
-    while buf.len() > SPAN_RETENTION {
-        buf.pop_front();
-    }
-}
-
-/// Dumps the flight recorder (and, with `trace_dump` set, the retained
-/// spans as a Chrome trace with a self-profile section plus the folded
+/// Dumps the flight recorder (and, with `trace_dump` set, a snapshot of
+/// the recorded spans as a Chrome trace with a self-profile section plus the folded
 /// stacks as `profile-<n>.folded`) and returns the number of flight
 /// entries.
 fn dump_flight(shared: &Shared, auto: bool) -> u64 {
@@ -248,23 +223,16 @@ fn dump_flight(shared: &Shared, auto: bool) -> u64 {
         shared.metrics.flight_dumps.fetch_add(1, Ordering::Relaxed);
     }
     if let Some(dir) = shared.config.trace_dump.as_deref() {
-        retain_spans(shared);
         let n = shared.dump_seq.fetch_add(1, Ordering::Relaxed);
         let _ = std::fs::create_dir_all(dir);
         let flight_path = std::path::Path::new(dir).join(format!("flight-{n}.json"));
         let _ = std::fs::write(flight_path, copred_obs::flight_json(&entries));
         let profile = current_profile(shared);
-        if let Some(spans) = &shared.spans {
-            let events: Vec<copred_obs::Event> = {
-                let buf = spans.lock().expect("span retention lock");
-                buf.iter().copied().collect()
-            };
-            let trace_path = std::path::Path::new(dir).join(format!("trace-{n}.json"));
-            let _ = std::fs::write(
-                trace_path,
-                copred_obs::chrome_trace_json_with_profile(&events, &profile),
-            );
-        }
+        let trace_path = std::path::Path::new(dir).join(format!("trace-{n}.json"));
+        let _ = std::fs::write(
+            trace_path,
+            copred_obs::chrome_trace_json_with_profile(&copred_obs::snapshot_events(), &profile),
+        );
         let folded_path = std::path::Path::new(dir).join(format!("profile-{n}.folded"));
         let _ = std::fs::write(folded_path, profile.folded());
     }
@@ -290,7 +258,6 @@ pub struct Server {
     accept_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     metrics_server: Option<copred_obs::MetricsServer>,
-    retain_handle: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -315,8 +282,8 @@ impl Server {
             None => None,
         };
         if config.trace_dump.is_some() {
-            // Dump export needs spans to retain; the flight recorder
-            // itself is always on.
+            // Dump export needs spans recorded; the flight recorder itself
+            // is always on.
             copred_obs::enable();
         }
         let shared = Arc::new(Shared {
@@ -327,10 +294,6 @@ impl Server {
             ),
             metrics: Metrics::new(),
             queue: JobQueue::new(config.queue_capacity),
-            spans: config
-                .trace_dump
-                .as_ref()
-                .map(|_| Mutex::new(VecDeque::with_capacity(1024))),
             dump_seq: AtomicU64::new(0),
             last_auto_dump_ms: AtomicU64::new(0),
             started: Instant::now(),
@@ -375,26 +338,6 @@ impl Server {
             None => None,
         };
 
-        // With trace_dump set, a low-rate drain keeps the span rings from
-        // overflowing between dumps.
-        let retain_handle = if shared.spans.is_some() {
-            let shared = Arc::clone(&shared);
-            let stopping = Arc::clone(&stopping);
-            Some(
-                thread::Builder::new()
-                    .name("copred-span-retain".to_string())
-                    .spawn(move || {
-                        while !stopping.load(Ordering::Acquire) {
-                            thread::sleep(Duration::from_millis(50));
-                            retain_spans(&shared);
-                        }
-                    })
-                    .expect("spawn span retention"),
-            )
-        } else {
-            None
-        };
-
         let worker_handles = (0..shared.config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -421,7 +364,6 @@ impl Server {
             accept_handle: Some(accept_handle),
             worker_handles,
             metrics_server,
-            retain_handle,
         })
     }
 
@@ -470,9 +412,6 @@ impl Server {
         }
         if let Some(mut m) = self.metrics_server.take() {
             m.shutdown();
-        }
-        if let Some(h) = self.retain_handle.take() {
-            let _ = h.join();
         }
     }
 }

@@ -3,6 +3,10 @@
 //! trace id must resolve — through the `dump` op's trace-dump artifacts
 //! and the `/debug/flight` endpoint — to a Chrome trace carrying the full
 //! decode→predict→schedule→execute→encode span chain.
+//!
+//! Both tests start a `trace_dump` server and run concurrently over the
+//! process-global span rings: snapshots are non-destructive, so neither
+//! server's dump may lose spans to the other's.
 
 mod common;
 
@@ -11,12 +15,6 @@ use copred_obs::{http_get, parse_prometheus};
 use copred_service::protocol::SchedMode;
 use copred_service::{run_loadgen, LoadgenConfig, Pacing, Server, ServerConfig, ServiceClient};
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
-
-/// Span rings are process-global: a second `trace_dump` server running
-/// concurrently drains (and so steals) the first one's spans. Tests that
-/// start one take this lock.
-static TRACE_DUMP_SERVER: Mutex<()> = Mutex::new(());
 
 fn loadgen_config(addr: std::net::SocketAddr) -> LoadgenConfig {
     LoadgenConfig {
@@ -43,7 +41,6 @@ fn event_chunks(body: &str) -> Vec<&str> {
 
 #[test]
 fn exemplar_trace_id_resolves_to_full_span_chain() {
-    let _serial = TRACE_DUMP_SERVER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("copred-trace-workflow-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::start(ServerConfig {
@@ -132,7 +129,6 @@ fn exemplar_trace_id_resolves_to_full_span_chain() {
 
 #[test]
 fn latency_threshold_fires_auto_dump() {
-    let _serial = TRACE_DUMP_SERVER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("copred-auto-dump-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::start(ServerConfig {
