@@ -11,7 +11,9 @@ use copred_service::{Server, ServerConfig, ServiceClient};
 use copred_store::crc::crc32;
 use copred_store::snapshot::{decode, encode};
 use copred_store::TableImage;
+use copred_trace::frame::{read_text_frame, write_text_frame};
 use proptest::prelude::*;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -39,7 +41,7 @@ fn sample_image(salt: u64) -> TableImage {
 }
 
 struct Rig {
-    _server: Server,
+    server: Server,
     client: ServiceClient,
 }
 
@@ -70,10 +72,7 @@ fn rig() -> Rig {
     })
     .expect("start server");
     let client = ServiceClient::connect(server.local_addr()).expect("connect");
-    Rig {
-        _server: server,
-        client,
-    }
+    Rig { server, client }
 }
 
 /// One server shared by the property tests (every case leaves it
@@ -157,6 +156,48 @@ fn declared_length_mismatch_is_rejected_at_the_frame() {
     let err = Request::from_text(&torn_text).expect_err("torn payload must not parse");
     assert!(err.contains("payload"), "unhelpful parse error: {err}");
     assert_cold_startable(&mut rig, 0xDEAD_0002);
+}
+
+#[test]
+fn sign_prefixed_hex_pairs_are_rejected_at_the_frame() {
+    // `u8::from_str_radix` reads "+f" as 15, so a payload line spelling
+    // its low bytes as `+<digit>` would decode to the right bytes and pass
+    // the transfer CRC. Wire hex is `[0-9a-fA-F]` pairs and nothing else.
+    let mut rig = rig();
+    let fp = 0xDEAD_0004;
+    let payload = encode(&sample_image(14));
+    let text = Request::SnapPush {
+        fp,
+        version: 1,
+        crc: crc32(&payload),
+        payload,
+    }
+    .to_text();
+    let (head, hex) = text.split_once('\n').expect("two-line encoding");
+    let hex = hex.trim_end();
+    let signed: String = hex
+        .as_bytes()
+        .chunks(2)
+        .flat_map(|pair| match pair {
+            [b'0', lo] => ['+', char::from(*lo)],
+            [hi, lo] => [char::from(*hi), char::from(*lo)],
+            _ => unreachable!("even-length hex"),
+        })
+        .collect();
+    assert_ne!(signed, hex, "no byte below 0x10 to re-spell");
+    let mut stream = TcpStream::connect(rig.server.local_addr()).expect("connect");
+    write_text_frame(&mut stream, &format!("{head}\n{signed}\n")).expect("send");
+    let reply = read_text_frame(&mut stream)
+        .expect("receive")
+        .expect("a reply frame");
+    assert_eq!(reply, "err bad_request bad hex payload\n");
+    let resp = rig.client.call(&Request::SnapGet { fp }).expect("snap_get");
+    assert_eq!(
+        resp,
+        Response::SnapNone { fp },
+        "the store must be untouched"
+    );
+    assert_cold_startable(&mut rig, fp);
 }
 
 #[test]

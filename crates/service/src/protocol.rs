@@ -282,27 +282,45 @@ pub enum Response {
     Error(ServiceError),
 }
 
-/// Hex-codes a byte string for the wire (lowercase, two digits per byte).
-fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Builds a snap frame in one allocation: the `head` line, then `payload`
+/// hex-coded (lowercase, two digits per byte) on its own line.
+fn snap_frame(head: fmt::Arguments<'_>, payload: &[u8]) -> String {
+    // 96 bytes hold the longest head line (`snap_push`, about 70).
+    let mut out = String::with_capacity(96 + 2 * payload.len());
+    fmt::Write::write_fmt(&mut out, head).expect("writing to a String cannot fail");
+    out.push('\n');
+    for &b in payload {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
     }
-    s
+    out.push('\n');
+    out
 }
 
-/// Decodes a wire hex line produced by [`to_hex`].
+/// Decodes a wire hex line written by [`snap_frame`]: pairs of
+/// `[0-9a-fA-F]` and nothing else — no signs, no whitespace.
 fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err("odd hex payload length".into());
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(s.get(i..i + 2).ok_or("non-ascii hex payload")?, 16)
-                .map_err(|_| "bad hex payload".to_string())
-        })
-        .collect()
+    let nibble = |c: u8| char::from(c).to_digit(16);
+    let mut out = Vec::with_capacity(s.len() / 2);
+    for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
+        let (Some(hi), Some(lo)) = (nibble(pair[0]), nibble(pair[1])) else {
+            let ascii = s.is_char_boundary(2 * i) && s.is_char_boundary(2 * i + 2);
+            return Err(if ascii {
+                "bad hex payload"
+            } else {
+                "non-ascii hex payload"
+            }
+            .into());
+        };
+        out.push((hi << 4 | lo) as u8);
+    }
+    Ok(out)
 }
 
 fn parse_hex_u64(tok: Option<&str>, what: &str) -> Result<u64, String> {
@@ -397,10 +415,9 @@ impl Request {
                 version,
                 crc,
                 payload,
-            } => format!(
-                "snap_push {fp:x} {version} {crc:x} {}\n{}\n",
-                payload.len(),
-                to_hex(payload)
+            } => snap_frame(
+                format_args!("snap_push {fp:x} {version} {crc:x} {}", payload.len()),
+                payload,
             ),
         }
     }
@@ -616,7 +633,7 @@ impl Response {
             Response::DumpDone { entries } => format!("ok dump {entries}\n"),
             Response::Closed => "ok closed\n".to_string(),
             Response::Snap { fp, payload } => {
-                format!("ok snap {fp:x} {}\n{}\n", payload.len(), to_hex(payload))
+                snap_frame(format_args!("ok snap {fp:x} {}", payload.len()), payload)
             }
             Response::SnapNone { fp } => format!("ok snap_none {fp:x}\n"),
             Response::SnapWant { fp, want } => {
@@ -756,6 +773,8 @@ mod tests {
     use super::*;
     use copred_kinematics::Config;
     use copred_trace::TraceCdq;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn motion() -> MotionTrace {
         MotionTrace {
@@ -976,6 +995,74 @@ mod tests {
             "snap_push 1f 1 aa 3\ncafe0\n",
         ] {
             assert!(Request::from_text(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// The original per-byte `format!` hex coder, kept as the
+    /// byte-identity reference for [`snap_frame`].
+    fn reference_hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn snap_frames_match_the_format_reference_and_invert() {
+        let mut rng = StdRng::seed_from_u64(0x5AA9);
+        for len in (0..64).chain([255, 256, 4148, 8244]) {
+            let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let fp: u64 = rng.gen();
+            let (version, crc): (u32, u32) = (rng.gen(), rng.gen());
+            let hex = reference_hex(&payload);
+            let resp = Response::Snap {
+                fp,
+                payload: payload.clone(),
+            };
+            let text = resp.to_text();
+            assert_eq!(text, format!("ok snap {fp:x} {len}\n{hex}\n"));
+            assert_eq!(Response::from_text(&text).unwrap(), resp);
+            let req = Request::SnapPush {
+                fp,
+                version,
+                crc,
+                payload,
+            };
+            let text = req.to_text();
+            assert_eq!(
+                text,
+                format!("snap_push {fp:x} {version} {crc:x} {len}\n{hex}\n")
+            );
+            assert_eq!(Request::from_text(&text).unwrap(), req);
+            // The decoder takes either digit case.
+            assert_eq!(
+                from_hex(&hex.to_uppercase()).unwrap(),
+                from_hex(&hex).unwrap()
+            );
+        }
+        assert_eq!(
+            Response::Snap {
+                fp: 0xface,
+                payload: vec![0x00, 0x0f, 0xa5, 0xff],
+            }
+            .to_text(),
+            "ok snap face 4\n000fa5ff\n"
+        );
+    }
+
+    #[test]
+    fn hex_payload_accepts_only_digit_pairs() {
+        assert_eq!(from_hex("00fF9a").unwrap(), vec![0x00, 0xff, 0x9a]);
+        // `u8::from_str_radix` would take "+f" as 15: a non-canonical
+        // spelling that must not parse.
+        for (bad, why) in [
+            ("+f", "bad hex payload"),
+            ("00+f", "bad hex payload"),
+            (" f", "bad hex payload"),
+            ("0g", "bad hex payload"),
+            ("-1", "bad hex payload"),
+            ("0", "odd hex payload length"),
+            ("é", "bad hex payload"),
+            ("0é0", "non-ascii hex payload"),
+        ] {
+            assert_eq!(from_hex(bad).unwrap_err(), why, "{bad:?}");
         }
     }
 

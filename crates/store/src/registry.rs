@@ -24,7 +24,7 @@ use copred_core::ChtParams;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default WAL segment rotation size.
 pub const DEFAULT_SEGMENT_LIMIT: u64 = 64 * 1024;
@@ -144,15 +144,13 @@ impl StoreRegistry {
         let _store_stage = copred_obs::stage(copred_obs::Stage::Store);
         // Take the lease for the duration of the merge so a concurrent
         // open cannot start a WAL this merge would then clear.
-        if !self.active.lock().expect("active set poisoned").insert(fp) {
+        if !lock(&self.active).insert(fp) {
             return Err(StoreError::Leased(fp));
         }
-        let result = self.merge_image_locked(fp, incoming);
-        self.active.lock().expect("active set poisoned").remove(&fp);
-        result
-    }
-
-    fn merge_image_locked(&self, fp: u64, incoming: &TableImage) -> Result<bool, StoreError> {
+        let _lease = Lease {
+            active: &self.active,
+            fp,
+        };
         let mut merged = incoming.clone();
         let had_state = match self.load(fp, &incoming.params) {
             Some(existing) => {
@@ -184,10 +182,16 @@ impl StoreRegistry {
         } else {
             self.stats.warm_misses.fetch_add(1, Ordering::Relaxed);
         }
-        let owner = self.active.lock().expect("active set poisoned").insert(fp);
+        let owner = lock(&self.active).insert(fp);
         let dir = self.table_dir(fp);
         let wal = if owner {
-            Some(Wal::open(&dir, self.segment_limit)?)
+            match Wal::open(&dir, self.segment_limit) {
+                Ok(wal) => Some(wal),
+                Err(e) => {
+                    lock(&self.active).remove(&fp);
+                    return Err(e);
+                }
+            }
         } else {
             None
         };
@@ -229,7 +233,7 @@ impl SessionStore {
 
     /// Whether this handle owns the write side.
     pub fn is_owner(&self) -> bool {
-        self.wal.lock().expect("wal poisoned").is_some()
+        lock(&self.wal).is_some()
     }
 
     /// The table parameters the store was opened with.
@@ -247,7 +251,7 @@ impl SessionStore {
         colliding: bool,
         image_fn: impl FnOnce() -> TableImage,
     ) -> Result<(), StoreError> {
-        let mut guard = self.wal.lock().expect("wal poisoned");
+        let mut guard = lock(&self.wal);
         let Some(wal) = guard.as_mut() else {
             return Ok(());
         };
@@ -267,7 +271,7 @@ impl SessionStore {
     /// detached handle (nothing written).
     pub fn persist(&self, image: &TableImage) -> Result<bool, StoreError> {
         let _store_stage = copred_obs::stage(copred_obs::Stage::Store);
-        let mut guard = self.wal.lock().expect("wal poisoned");
+        let mut guard = lock(&self.wal);
         let Some(wal) = guard.as_mut() else {
             return Ok(false);
         };
@@ -281,11 +285,30 @@ impl SessionStore {
 impl Drop for SessionStore {
     fn drop(&mut self) {
         if self.is_owner() {
-            self.active
-                .lock()
-                .expect("active set poisoned")
-                .remove(&self.fp);
+            lock(&self.active).remove(&self.fp);
         }
+    }
+}
+
+/// Locks `m`, recovering the data of a poisoned lock. Each critical
+/// section in this file leaves its data valid after every step (a set
+/// insert or remove; WAL appends of whole records; snapshots written to a
+/// temporary file and renamed), so a panic under a lock must not wedge
+/// the store.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A fingerprint's write-side lease, returned to the active set on drop
+/// so neither an error nor a panic can leak it.
+struct Lease<'a> {
+    active: &'a Mutex<HashSet<u64>>,
+    fp: u64,
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        lock(self.active).remove(&self.fp);
     }
 }
 
@@ -485,6 +508,52 @@ mod tests {
         // The lease returns with the owner; the merge then succeeds.
         drop(opened);
         assert!(registry.merge_image(fp, &incoming).is_ok());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_panic_under_the_wal_lock_does_not_wedge_the_store() {
+        let root = tmp_root("poison");
+        // One record per segment: the second append compacts.
+        let registry = StoreRegistry::open(&root)
+            .unwrap()
+            .with_wal_limits(8 + WAL_RECORD_LEN_U64, 1);
+        let fp = 0x9015;
+        let opened = registry.open_session(fp, &params()).unwrap();
+        opened
+            .store
+            .log_observe(1, true, || unreachable!())
+            .unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            opened
+                .store
+                .log_observe(2, true, || panic!("image_fn panicked"))
+        }));
+        assert!(panicked.is_err(), "compaction must have called image_fn");
+        assert!(opened.store.is_owner());
+        let mut image = TableImage::empty(params());
+        image.cells[2] = (1, 0);
+        assert!(opened.store.persist(&image).unwrap());
+        drop(opened);
+        let again = registry.open_session(fp, &params()).unwrap();
+        assert!(again.store.is_owner(), "the lease must return on drop");
+        assert_eq!(again.image.as_ref(), Some(&image));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_failed_wal_open_returns_the_lease() {
+        let root = tmp_root("wal-open");
+        let registry = StoreRegistry::open(&root).unwrap();
+        let fp = 0x0BAD;
+        // A plain file where the table directory belongs fails the open.
+        let dir = registry.root().join(format!("{fp:016x}"));
+        std::fs::write(&dir, b"not a directory").unwrap();
+        assert!(registry.open_session(fp, &params()).is_err());
+        std::fs::remove_file(&dir).unwrap();
+        let opened = registry.open_session(fp, &params()).unwrap();
+        assert!(opened.store.is_owner(), "the failed open leaked the lease");
+        drop(opened);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -154,57 +154,90 @@ impl TableImage {
     }
 }
 
-struct BitWriter {
-    bytes: Vec<u8>,
-    bit: u32,
+/// The low `width` bits (`1..=8`) of a byte.
+fn low_bits(width: u32) -> u8 {
+    (u16::MAX >> (16 - width)) as u8
 }
 
-impl BitWriter {
-    fn new() -> Self {
-        BitWriter {
-            bytes: Vec::new(),
-            bit: 0,
-        }
-    }
+/// LSB-first bit packer: fields collect in a 64-bit accumulator and leave
+/// for `out` as whole bytes, so packing costs O(1) per field and per byte
+/// at every counter width.
+struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
+    acc: u64,
+    pending: u32,
+}
 
-    /// Appends the low `width` bits of `v`, LSB-first.
+impl BitWriter<'_> {
+    /// Appends the low `width` bits (`1..=8`) of `v`.
     fn push(&mut self, v: u8, width: u32) {
-        for k in 0..width {
-            if self.bit == 0 {
-                self.bytes.push(0);
-            }
-            if (v >> k) & 1 != 0 {
-                *self.bytes.last_mut().unwrap() |= 1 << self.bit;
-            }
-            self.bit = (self.bit + 1) % 8;
+        // `pending` < 56 on entry, so a field of up to 8 bits always fits.
+        self.acc |= u64::from(v & low_bits(width)) << self.pending;
+        self.pending += width;
+        if self.pending >= 56 {
+            let whole = self.pending / 8;
+            self.out
+                .extend_from_slice(&self.acc.to_le_bytes()[..whole as usize]);
+            self.acc >>= 8 * whole;
+            self.pending -= 8 * whole;
         }
+    }
+
+    /// Flushes the pending bits, zero-padding the last byte.
+    fn finish(self) {
+        let tail = self.pending.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
     }
 }
 
+/// LSB-first bit unpacker, the inverse of [`BitWriter`]: whole bytes enter
+/// an accumulator as fields need them, and fields leave it.
 struct BitReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    bytes: std::slice::Iter<'a, u8>,
+    acc: u32,
+    avail: u32,
 }
 
 impl BitReader<'_> {
+    /// Takes the next `width` bits (`1..=8`); `None` past the end.
     fn pull(&mut self, width: u32) -> Option<u8> {
-        let mut v = 0u8;
-        for k in 0..width {
-            let byte = self.bytes.get(self.pos / 8)?;
-            if (byte >> (self.pos % 8)) & 1 != 0 {
-                v |= 1 << k;
-            }
-            self.pos += 1;
+        // Fields are at most 8 bits wide, so one byte always tops up.
+        if self.avail < width {
+            self.acc |= u32::from(*self.bytes.next()?) << self.avail;
+            self.avail += 8;
         }
+        let v = self.acc as u8 & low_bits(width);
+        self.acc >>= width;
+        self.avail -= width;
         Some(v)
     }
+}
+
+/// Payload bytes of a table with these parameters.
+fn payload_bytes(p: &ChtParams) -> usize {
+    (p.entries() as u64 * u64::from(p.entry_bits())).div_ceil(8) as usize
 }
 
 /// Serializes an image to the versioned snapshot format.
 pub fn encode(image: &TableImage) -> Vec<u8> {
     let p = &image.params;
     debug_assert_eq!(image.cells.len(), p.entries());
-    let mut w = BitWriter::new();
+    let len = payload_bytes(p);
+    let mut out = Vec::with_capacity(HEADER_LEN + len);
+    out.extend_from_slice(SNAPSHOT_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out.extend_from_slice(&p.bits.to_le_bytes());
+    out.extend_from_slice(&p.counter_bits.to_le_bytes());
+    out.extend_from_slice(&p.strategy.s().to_bits().to_le_bytes());
+    out.extend_from_slice(&p.update_fraction.to_bits().to_le_bytes());
+    out.extend_from_slice(&image.u_state.to_le_bytes());
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // payload CRC, filled in below
+    let mut w = BitWriter {
+        out: &mut out,
+        acc: 0,
+        pending: 0,
+    };
     for &(c, n) in &image.cells {
         if p.counter_bits == 1 {
             w.push(u8::from(c != 0), 1);
@@ -213,18 +246,10 @@ pub fn encode(image: &TableImage) -> Vec<u8> {
             w.push(n, p.counter_bits);
         }
     }
-    let payload = w.bytes;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&p.bits.to_le_bytes());
-    out.extend_from_slice(&p.counter_bits.to_le_bytes());
-    out.extend_from_slice(&p.strategy.s().to_bits().to_le_bytes());
-    out.extend_from_slice(&p.update_fraction.to_bits().to_le_bytes());
-    out.extend_from_slice(&image.u_state.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    w.finish();
+    debug_assert_eq!(out.len(), HEADER_LEN + len);
+    let crc = crc32(&out[HEADER_LEN..]);
+    out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -292,26 +317,27 @@ pub fn decode(bytes: &[u8]) -> Result<TableImage, StoreError> {
         update_fraction: u,
     };
     let entries = params.entries();
-    let expect_bytes = (entries as u64 * u64::from(params.entry_bits())).div_ceil(8) as usize;
+    let expect_bytes = payload_bytes(&params);
     if payload_len != expect_bytes {
         return Err(StoreError::Corrupt(format!(
             "payload is {payload_len} bytes, table needs {expect_bytes}"
         )));
     }
+    // The length check above guarantees every pull below finds its bits.
     let mut r = BitReader {
-        bytes: payload,
-        pos: 0,
+        bytes: payload.iter(),
+        acc: 0,
+        avail: 0,
     };
-    let mut cells = Vec::with_capacity(entries);
-    let max = ((1u32 << counter_bits) - 1) as u8;
-    for _ in 0..entries {
-        let (c, n) = if counter_bits == 1 {
-            (r.pull(1).unwrap(), 0)
-        } else {
-            (r.pull(counter_bits).unwrap(), r.pull(counter_bits).unwrap())
-        };
-        cells.push((c.min(max), n.min(max)));
-    }
+    let cells = (0..entries)
+        .map(|_| {
+            if counter_bits == 1 {
+                (r.pull(1).unwrap(), 0)
+            } else {
+                (r.pull(counter_bits).unwrap(), r.pull(counter_bits).unwrap())
+            }
+        })
+        .collect();
     Ok(TableImage {
         params,
         u_state,
@@ -345,6 +371,86 @@ pub fn read_snapshot(path: &Path) -> Result<TableImage, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copred_core::Strategy;
+    use proptest::prelude::*;
+
+    /// The original bit-at-a-time encoder, kept as the byte-identity
+    /// reference for the word-wise [`encode`].
+    fn reference_encode(image: &TableImage) -> Vec<u8> {
+        let p = &image.params;
+        let mut payload: Vec<u8> = Vec::new();
+        let mut bit = 0;
+        for &(c, n) in &image.cells {
+            let fields = if p.counter_bits == 1 {
+                vec![(u8::from(c != 0), 1)]
+            } else {
+                vec![(c, p.counter_bits), (n, p.counter_bits)]
+            };
+            for (v, width) in fields {
+                for k in 0..width {
+                    if bit == 0 {
+                        payload.push(0);
+                    }
+                    if (v >> k) & 1 != 0 {
+                        *payload.last_mut().unwrap() |= 1 << bit;
+                    }
+                    bit = (bit + 1) % 8;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        out.extend_from_slice(&p.bits.to_le_bytes());
+        out.extend_from_slice(&p.counter_bits.to_le_bytes());
+        out.extend_from_slice(&p.strategy.s().to_bits().to_le_bytes());
+        out.extend_from_slice(&p.update_fraction.to_bits().to_le_bytes());
+        out.extend_from_slice(&image.u_state.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every counter width, table sizes from 2 to 4096 entries (several
+        /// of whose payloads end mid-byte, e.g. 2 entries × 6 bits), and
+        /// random cells — including bits above the counter width, which
+        /// both packers must drop. `decode` inverts `encode` up to that
+        /// masking.
+        #[test]
+        fn encode_matches_the_bit_at_a_time_reference(seed in any::<u64>()) {
+            let mut x = seed | 1;
+            for counter_bits in 1..=8 {
+                for bits in [1, 2, 3, 5, 8, 12] {
+                    let mut image = TableImage::empty(ChtParams {
+                        bits,
+                        ..params(counter_bits, 1.0, 0.125)
+                    });
+                    image.u_state = x;
+                    for cell in &mut image.cells {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        *cell = (x as u8, (x >> 8) as u8);
+                    }
+                    let bytes = encode(&image);
+                    prop_assert_eq!(&bytes, &reference_encode(&image), "{}x{}", bits, counter_bits);
+                    let max = low_bits(counter_bits);
+                    for cell in &mut image.cells {
+                        *cell = if counter_bits == 1 {
+                            (u8::from(cell.0 != 0), 0)
+                        } else {
+                            (cell.0 & max, cell.1 & max)
+                        };
+                    }
+                    prop_assert_eq!(decode(&bytes).unwrap(), image);
+                }
+            }
+        }
+    }
 
     fn params(counter_bits: u32, s: f64, u: f64) -> ChtParams {
         ChtParams {
