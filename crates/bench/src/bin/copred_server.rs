@@ -6,7 +6,7 @@
 //!   workers=4             worker threads
 //!   queue=128             global queue capacity (batches)
 //!   session_queue=32      per-session pending cap
-//!   max_sessions=64       session pool size (power of two)
+//!   max_sessions=64       session slots, the most sessions open at once
 //!   csp_step=5            CSP stride for the schedulers
 //!   retry_ms=10           back-off hint in retry_after responses
 //!   metrics_addr=ADDR     serve Prometheus text exposition on GET /metrics
@@ -61,7 +61,12 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<ServerConfig, String>
             "workers" => cfg.workers = num()? as usize,
             "queue" => cfg.queue_capacity = num()? as usize,
             "session_queue" => cfg.session_queue_cap = num()? as usize,
-            "max_sessions" => cfg.max_sessions = num()? as usize,
+            "max_sessions" => {
+                cfg.max_sessions = match num()? {
+                    0 => return Err(format!("bad number for {key}: '{value}' (want at least 1)")),
+                    n => n as usize,
+                }
+            }
             "csp_step" => cfg.csp_step = num()? as usize,
             "retry_ms" => cfg.retry_after_ms = num()?,
             "metrics_addr" => cfg.metrics_addr = Some(value.to_string()),
@@ -147,6 +152,17 @@ mod tests {
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cfg.trace_dump.as_deref(), Some("/tmp/td"));
         assert_eq!(cfg.flight_threshold_ms, 25);
+    }
+
+    #[test]
+    fn max_sessions_takes_any_positive_count() {
+        let err = parse(&["max_sessions=0"]).unwrap_err();
+        assert!(err.contains("bad number for max_sessions: '0'"), "{err}");
+        for n in [1, 3, 64, 100] {
+            let cfg = parse(&[&format!("max_sessions={n}")]).unwrap();
+            assert_eq!(cfg.max_sessions, n);
+            copred_service::SessionRegistry::new(cfg.cht_params, cfg.max_sessions);
+        }
     }
 
     #[test]

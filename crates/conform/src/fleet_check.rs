@@ -194,8 +194,8 @@ fn check_hostile_replication(c: &mut Case<'_>) {
     let mut image = TableImage::empty(tiny_params());
     for (i, cell) in image.cells.iter_mut().enumerate() {
         let v = seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64);
-        cell.0 = (v % 4) as u8;
-        cell.1 = ((v >> 8) % 4) as u8;
+        cell.coll = (v % 4) as u8;
+        cell.noncoll = ((v >> 8) % 4) as u8;
     }
     image.u_state = seed | 1;
     let good = encode(&image);

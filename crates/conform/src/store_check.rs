@@ -237,7 +237,7 @@ fn crash_recovery(c: &mut Case<'_>, trace: &QueryTrace, fp: u64, root: &Path) {
         Ok(s) => s,
         Err(e) => return c.fail(format_args!("crash recovery: store reopen: {e}")),
     };
-    let expected_warm = expected_cells.iter().any(|&(a, b)| a != 0 || b != 0);
+    let expected_warm = expected_cells.iter().any(|c| !c.is_empty());
     match recovered.load(fp, &params()) {
         Some(_) if !expected_warm => {
             c.fail("crash recovery: recovery produced an image from an empty table");

@@ -84,10 +84,117 @@ impl Strategy {
         self.s
     }
 
-    /// The prediction rule.
+    /// The prediction rule `COLL > S × NONCOLL`.
     #[inline]
-    pub fn predicts(&self, coll: u8, noncoll: u8) -> bool {
-        f64::from(coll) > self.s * f64::from(noncoll)
+    pub fn predicts(&self, cell: Cell) -> bool {
+        f64::from(cell.coll) > self.s * f64::from(cell.noncoll)
+    }
+}
+
+/// One CHT entry: the `COLL` and `NONCOLL` saturating counters.
+///
+/// Every table in the workspace (this crate's [`Cht`], the shared
+/// `ConcurrentCht`, and the store's snapshot image) holds its entries as
+/// cells, so the update rule below is the only one. Counters are
+/// `counter_bits` wide (`1..=8`); a 1-bit entry stores only `COLL`, the
+/// paper's `S = 0` form, and never records a collision-free outcome.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Cell {
+    /// Colliding outcomes seen.
+    pub coll: u8,
+    /// Collision-free outcomes recorded.
+    pub noncoll: u8,
+}
+
+impl Cell {
+    /// A cell holding these counter values, unclamped.
+    pub const fn new(coll: u8, noncoll: u8) -> Self {
+        Cell { coll, noncoll }
+    }
+
+    /// The lossless 16-bit form: `COLL` in the low byte, `NONCOLL` above.
+    #[inline]
+    pub const fn to_bits(self) -> u16 {
+        self.coll as u16 | (self.noncoll as u16) << 8
+    }
+
+    /// The inverse of [`Self::to_bits`].
+    #[inline]
+    pub const fn from_bits(bits: u16) -> Self {
+        Cell {
+            coll: bits as u8,
+            noncoll: (bits >> 8) as u8,
+        }
+    }
+
+    /// Whether the entry has any recorded history.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.to_bits() == 0
+    }
+
+    /// Whether a table of this counter width records collision-free
+    /// outcomes at all (every width but 1). Tables consult this before
+    /// drawing for the `U` gate, so a 1-bit table draws nothing for them.
+    #[inline]
+    pub fn records_free(counter_bits: u32) -> bool {
+        counter_bits > 1
+    }
+
+    /// The saturating maximum of a `counter_bits`-wide counter.
+    #[inline]
+    fn counter_max(counter_bits: u32) -> u8 {
+        (u16::MAX >> (16 - counter_bits)) as u8
+    }
+
+    /// The cell after one applied outcome: `COLL` or `NONCOLL` plus one,
+    /// saturating at the width's maximum. A free outcome leaves a 1-bit
+    /// cell unchanged. The `U` gate is the table's and has already run.
+    #[inline]
+    #[must_use]
+    pub fn apply(self, colliding: bool, counter_bits: u32) -> Self {
+        let max = Self::counter_max(counter_bits);
+        let bump = |v: u8| if v < max { v + 1 } else { max };
+        if colliding {
+            Cell {
+                coll: bump(self.coll),
+                ..self
+            }
+        } else if Self::records_free(counter_bits) {
+            Cell {
+                noncoll: bump(self.noncoll),
+                ..self
+            }
+        } else {
+            self
+        }
+    }
+
+    /// Each counter capped at the width's maximum. Tables clamp every cell
+    /// they load from an image, so none holds an unrepresentable state.
+    #[must_use]
+    pub fn clamp(self, counter_bits: u32) -> Self {
+        let max = Self::counter_max(counter_bits);
+        Cell {
+            coll: self.coll.min(max),
+            noncoll: self.noncoll.min(max),
+        }
+    }
+
+    /// Whether either counter is pinned at the width's maximum.
+    pub fn is_saturated(self, counter_bits: u32) -> bool {
+        let max = Self::counter_max(counter_bits);
+        self.coll == max || self.noncoll == max
+    }
+
+    /// The component-wise maximum: the join that merges two images of one
+    /// table, since counters only grow under [`Self::apply`].
+    #[must_use]
+    pub fn max(self, other: Cell) -> Self {
+        Cell {
+            coll: self.coll.max(other.coll),
+            noncoll: self.noncoll.max(other.noncoll),
+        }
     }
 }
 
@@ -163,25 +270,14 @@ impl ChtParams {
             2 * self.counter_bits
         }
     }
-
-    /// Total table capacity in bits (SRAM sizing for the area/energy model).
-    pub fn total_bits(&self) -> u64 {
-        self.entries() as u64 * u64::from(self.entry_bits())
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Entry {
-    coll: u8,
-    noncoll: u8,
 }
 
 /// Backing store: dense for hardware-sized tables, sparse for the large
 /// C-space hash studies (e.g. POSE with 28-bit codes).
 #[derive(Debug, Clone)]
 enum Storage {
-    Dense(Vec<Entry>),
-    Sparse(HashMap<u64, Entry>),
+    Dense(Vec<Cell>),
+    Sparse(HashMap<u64, Cell>),
 }
 
 /// Widest address for which the table is allocated densely.
@@ -227,7 +323,7 @@ impl Cht {
             "U must lie in [0, 1]"
         );
         let storage = if params.bits <= DENSE_BITS_LIMIT {
-            Storage::Dense(vec![Entry::default(); params.entries()])
+            Storage::Dense(vec![Cell::default(); params.entries()])
         } else {
             Storage::Sparse(HashMap::new())
         };
@@ -260,7 +356,8 @@ impl Cht {
         (1u64 << self.params.bits) - 1
     }
 
-    fn entry(&self, code: u64) -> Entry {
+    /// The cell `code` maps to.
+    pub fn cell(&self, code: u64) -> Cell {
         let addr = code & self.mask();
         match &self.storage {
             Storage::Dense(v) => v[addr as usize],
@@ -268,7 +365,7 @@ impl Cht {
         }
     }
 
-    fn entry_mut(&mut self, code: u64) -> &mut Entry {
+    fn cell_mut(&mut self, code: u64) -> &mut Cell {
         let addr = code & self.mask();
         match &mut self.storage {
             Storage::Dense(v) => &mut v[addr as usize],
@@ -276,57 +373,31 @@ impl Cht {
         }
     }
 
-    /// Raw counters `(COLL, NONCOLL)` of the entry `code` maps to.
-    pub fn counters(&self, code: u64) -> (u8, u8) {
-        let e = self.entry(code);
-        (e.coll, e.noncoll)
-    }
-
-    /// Overwrites the raw counters of the entry `code` maps to — the
-    /// serialization hook used by `copred-store` to restore a table from a
-    /// snapshot image. Values are clamped to the counter width so a decoded
-    /// image can never hold an unrepresentable state.
-    pub fn set_counters(&mut self, code: u64, coll: u8, noncoll: u8) {
-        let max = ((1u32 << self.params.counter_bits) - 1) as u8;
-        let e = self.entry_mut(code);
-        e.coll = coll.min(max);
-        e.noncoll = noncoll.min(max);
-    }
-
     /// Prediction lookup: does the entry predict a collision?
     pub fn predict(&mut self, code: u64) -> bool {
         self.stats.reads += 1;
-        let e = self.entry(code);
-        self.params.strategy.predicts(e.coll, e.noncoll)
+        self.params.strategy.predicts(self.cell(code))
     }
 
     /// Prediction lookup without touching the access statistics (for
     /// instrumentation and tests).
     pub fn peek(&self, code: u64) -> bool {
-        let e = self.entry(code);
-        self.params.strategy.predicts(e.coll, e.noncoll)
+        self.params.strategy.predicts(self.cell(code))
     }
 
     /// Records the outcome of an executed CDQ. Colliding outcomes always
     /// update `COLL`; collision-free outcomes update `NONCOLL` with
     /// probability `U`.
     pub fn observe(&mut self, code: u64, colliding: bool) {
-        let max = ((1u32 << self.params.counter_bits) - 1) as u8;
-        let single_bit = self.params.counter_bits == 1;
-        if colliding {
+        let p = self.params;
+        let applied = colliding
+            || (Cell::records_free(p.counter_bits)
+                && p.update_fraction > 0.0
+                && self.rng.gen::<f64>() < p.update_fraction);
+        if applied {
             self.stats.writes += 1;
-            let e = self.entry_mut(code);
-            e.coll = e.coll.saturating_add(1).min(max);
-        } else if single_bit {
-            // 1-bit entries store only the collision bit; free outcomes are
-            // not recorded at all.
-            self.stats.skipped_updates += 1;
-        } else if self.params.update_fraction > 0.0
-            && self.rng.gen::<f64>() < self.params.update_fraction
-        {
-            self.stats.writes += 1;
-            let e = self.entry_mut(code);
-            e.noncoll = e.noncoll.saturating_add(1).min(max);
+            let cell = self.cell_mut(code);
+            *cell = cell.apply(colliding, p.counter_bits);
         } else {
             self.stats.skipped_updates += 1;
         }
@@ -337,19 +408,10 @@ impl Cht {
     /// `U`-policy RNG so a reset table replays identically.
     pub fn reset(&mut self) {
         match &mut self.storage {
-            Storage::Dense(v) => v.iter_mut().for_each(|e| *e = Entry::default()),
+            Storage::Dense(v) => v.fill(Cell::default()),
             Storage::Sparse(m) => m.clear(),
         }
         self.rng = StdRng::seed_from_u64(self.seed);
-    }
-
-    /// Number of entries with any recorded history (density measurement for
-    /// the hash-function studies).
-    pub fn populated_entries(&self) -> usize {
-        match &self.storage {
-            Storage::Dense(v) => v.iter().filter(|e| e.coll > 0 || e.noncoll > 0).count(),
-            Storage::Sparse(m) => m.values().filter(|e| e.coll > 0 || e.noncoll > 0).count(),
-        }
     }
 }
 
@@ -367,6 +429,64 @@ mod tests {
             },
             7,
         )
+    }
+
+    /// The one update rule, pinned to written expectations at each width:
+    /// `(counter_bits, start, colliding, expected)`.
+    #[test]
+    fn cell_rule_at_every_width() {
+        let c = Cell::new;
+        let apply_cases = [
+            // 1 bit: COLL saturates at 1; free outcomes are never recorded.
+            (1, c(0, 0), true, c(1, 0)),
+            (1, c(1, 0), true, c(1, 0)),
+            (1, c(0, 0), false, c(0, 0)),
+            (1, c(1, 0), false, c(1, 0)),
+            // 2 bits: max 3.
+            (2, c(0, 0), true, c(1, 0)),
+            (2, c(2, 1), true, c(3, 1)),
+            (2, c(3, 1), true, c(3, 1)),
+            (2, c(0, 2), false, c(0, 3)),
+            (2, c(1, 3), false, c(1, 3)),
+            // 4 bits: max 15.
+            (4, c(14, 0), true, c(15, 0)),
+            (4, c(15, 7), true, c(15, 7)),
+            (4, c(3, 14), false, c(3, 15)),
+            (4, c(3, 15), false, c(3, 15)),
+            // 8 bits: max 255, no wrap.
+            (8, c(254, 0), true, c(255, 0)),
+            (8, c(255, 9), true, c(255, 9)),
+            (8, c(0, 255), false, c(0, 255)),
+            // Out-of-range counters saturate to the width, never past it.
+            (4, c(200, 0), true, c(15, 0)),
+        ];
+        for (bits, start, colliding, want) in apply_cases {
+            assert_eq!(
+                start.apply(colliding, bits),
+                want,
+                "{bits}-bit {start:?} {colliding}"
+            );
+        }
+        let clamp_cases = [
+            (1, c(200, 200), c(1, 1)),
+            (2, c(200, 200), c(3, 3)),
+            (4, c(200, 200), c(15, 15)),
+            (4, c(7, 16), c(7, 15)),
+            (8, c(200, 200), c(200, 200)),
+        ];
+        for (bits, cell, want) in clamp_cases {
+            assert_eq!(cell.clamp(bits), want, "{bits}-bit clamp of {cell:?}");
+        }
+        assert!(c(15, 0).is_saturated(4) && c(0, 15).is_saturated(4));
+        assert!(!c(14, 14).is_saturated(4));
+        assert!(c(1, 0).is_saturated(1));
+        assert_eq!(c(3, 9).max(c(7, 2)), c(7, 9));
+        assert_eq!(c(3, 9).max(c(3, 9)), c(3, 9));
+        for cell in [c(0, 0), c(15, 0), c(0, 15), c(255, 255), c(0x12, 0x34)] {
+            assert_eq!(Cell::from_bits(cell.to_bits()), cell);
+        }
+        assert_eq!(c(0x12, 0x34).to_bits(), 0x3412);
+        assert!(c(0, 0).is_empty() && !c(0, 1).is_empty());
     }
 
     #[test]
@@ -470,9 +590,7 @@ mod tests {
             t.observe(3, true);
             t.observe(3, false);
         }
-        let (c, n) = t.counters(3);
-        assert_eq!(c, 15);
-        assert_eq!(n, 15);
+        assert_eq!(t.cell(3), Cell::new(15, 15));
     }
 
     #[test]
@@ -481,7 +599,7 @@ mod tests {
         for _ in 0..50 {
             t.observe(1, false);
         }
-        assert_eq!(t.counters(1), (0, 0));
+        assert!(t.cell(1).is_empty());
         assert_eq!(t.stats().skipped_updates, 50);
         assert_eq!(t.stats().writes, 0);
     }
@@ -503,7 +621,7 @@ mod tests {
         for _ in 0..10 {
             t.observe(2, true);
         }
-        assert_eq!(t.counters(2).0, 10);
+        assert_eq!(t.cell(2).coll, 10);
     }
 
     #[test]
@@ -513,7 +631,7 @@ mod tests {
         assert!(t.predict(77));
         t.reset();
         assert!(!t.predict(77));
-        assert_eq!(t.populated_entries(), 0);
+        assert!(t.cell(77).is_empty());
     }
 
     #[test]
@@ -535,7 +653,7 @@ mod tests {
         t.observe(123_456_789, true);
         assert!(t.predict(123_456_789));
         assert!(!t.predict(987));
-        assert_eq!(t.populated_entries(), 1);
+        assert_eq!(t.cell(123_456_789), Cell::new(1, 0));
     }
 
     #[test]
@@ -553,11 +671,9 @@ mod tests {
         let arm = ChtParams::paper_arm();
         assert_eq!(arm.entries(), 4096);
         assert_eq!(arm.entry_bits(), 8);
-        assert_eq!(arm.total_bits(), 4096 * 8);
         let planar = ChtParams::paper_2d();
         assert_eq!(planar.entries(), 1024);
-        let one = ChtParams::paper_1bit();
-        assert_eq!(one.total_bits(), 4096);
+        assert_eq!(ChtParams::paper_1bit().entry_bits(), 1);
     }
 
     #[test]

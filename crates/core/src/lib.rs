@@ -7,7 +7,8 @@
 //!   POSE-part, POSE+fold, ENPOSE) and physical-space hashes (COORD,
 //!   ENCOORD).
 //! * [`Cht`]: the Collision History Table with saturating COLL/NONCOLL
-//!   counters, the `S` prediction strategy, and the `U` update policy.
+//!   counters, the `S` prediction strategy, and the `U` update policy;
+//!   [`Cell`] is its entry and owns the one counter-update rule.
 //! * [`Predictor`]: hash + CHT, including Algorithm 1 (motion collision
 //!   detection with collision prediction).
 //! * [`PredictionMetrics`]: precision/recall scoring.
@@ -34,6 +35,7 @@
 //! assert!(out.colliding);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -44,7 +46,7 @@ pub mod mlp;
 mod predictor;
 pub mod statmodel;
 
-pub use cht::{Cht, ChtParams, ChtStats, Strategy};
+pub use cht::{Cell, Cht, ChtParams, ChtStats, Strategy};
 pub use hash::{
     fold_xor, CollisionHash, CoordHash, DofQuantizer, EncoordHash, EnposeHash, HashInput,
     PoseFoldHash, PoseHash, PosePartHash,

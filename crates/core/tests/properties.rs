@@ -1,8 +1,8 @@
 //! Property-based tests for predictor invariants.
 
 use copred_core::{
-    fold_xor, Cht, ChtParams, CollisionHash, CoordHash, HashInput, PoseHash, PredictionMetrics,
-    Strategy,
+    fold_xor, Cell, Cht, ChtParams, CollisionHash, CoordHash, HashInput, PoseHash,
+    PredictionMetrics, Strategy,
 };
 use copred_geometry::{Aabb, Vec3};
 use copred_kinematics::{presets, Config, Robot};
@@ -84,9 +84,9 @@ proptest! {
         for &o in &obs {
             cht.observe(2, o);
         }
-        let (c, n) = cht.counters(2);
+        let cell = cht.cell(2);
         let max = ((1u32 << bits) - 1) as u8;
-        prop_assert!(c <= max && n <= max);
+        prop_assert!(cell.coll <= max && cell.noncoll <= max);
     }
 
     #[test]
@@ -96,7 +96,7 @@ proptest! {
         let s_values = [2.0, 1.0, 0.5, 0.25, 0.0];
         let mut prev = false;
         for &s in s_values.iter() {
-            let p = Strategy::new(s).predicts(coll, noncoll);
+            let p = Strategy::new(s).predicts(Cell::new(coll, noncoll));
             if prev {
                 prop_assert!(p, "S={s} flipped a conservative prediction off");
             }

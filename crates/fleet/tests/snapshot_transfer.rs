@@ -14,6 +14,7 @@ use copred_store::TableImage;
 use copred_trace::frame::{read_text_frame, write_text_frame};
 use proptest::prelude::*;
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -33,8 +34,8 @@ fn sample_image(salt: u64) -> TableImage {
     let mut image = TableImage::empty(tiny_params());
     for (i, cell) in image.cells.iter_mut().enumerate() {
         let v = salt.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64);
-        cell.0 = (v % 4) as u8;
-        cell.1 = ((v >> 8) % 4) as u8;
+        cell.coll = (v % 4) as u8;
+        cell.noncoll = ((v >> 8) % 4) as u8;
     }
     image.u_state = salt | 1;
     image
@@ -43,6 +44,15 @@ fn sample_image(salt: u64) -> TableImage {
 struct Rig {
     server: Server,
     client: ServiceClient,
+    /// The server's store root, removed when the rig drops.
+    dir: PathBuf,
+}
+
+impl Drop for Rig {
+    fn drop(&mut self) {
+        self.server.shutdown();
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 static RIG_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -72,7 +82,11 @@ fn rig() -> Rig {
     })
     .expect("start server");
     let client = ServiceClient::connect(server.local_addr()).expect("connect");
-    Rig { server, client }
+    Rig {
+        server,
+        client,
+        dir,
+    }
 }
 
 /// One server shared by the property tests (every case leaves it

@@ -61,8 +61,7 @@ impl InProcessBackend {
     ///
     /// # Panics
     ///
-    /// Panics when `capacity` is zero or not a power of two (the shard
-    /// pool invariant).
+    /// Panics when `capacity` is zero.
     pub fn new(params: ChtParams, capacity: usize, csp_step: usize) -> Self {
         Self::over(SessionRegistry::new(params, capacity), csp_step)
     }

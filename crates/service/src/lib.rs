@@ -3,8 +3,9 @@
 //! The paper's predictor assumes the CHT sits next to the collision
 //! checker; this crate packages the same machinery behind a TCP service so
 //! many planners can share one accelerator-style backend. Each planning
-//! query opens a *session* that leases a private [`copred_swexec::ShardedCht`]
-//! shard; motion-check batches are dispatched through a bounded worker
+//! query opens a *session* that leases a private
+//! [`copred_swexec::ConcurrentCht`] from the registry's fixed set of slots;
+//! motion-check batches are dispatched through a bounded worker
 //! pool running the predictor-ordered scheduler
 //! ([`copred_collision::run_predicted_schedule`], the paper's Algorithm 1).
 //!

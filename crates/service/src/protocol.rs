@@ -323,9 +323,18 @@ fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
+/// Parses a header number in its canonical spelling: digits of `radix`
+/// only. `u64::from_str_radix` alone would also take a leading `+`.
+fn canonical_u64(tok: &str, radix: u32) -> Option<u64> {
+    if tok.starts_with('+') {
+        return None;
+    }
+    u64::from_str_radix(tok, radix).ok()
+}
+
 fn parse_hex_u64(tok: Option<&str>, what: &str) -> Result<u64, String> {
     let tok = tok.ok_or_else(|| format!("missing {what}"))?;
-    u64::from_str_radix(tok, 16).map_err(|_| format!("bad {what} (want hex)"))
+    canonical_u64(tok, 16).ok_or_else(|| format!("bad {what} (want hex)"))
 }
 
 /// Parses the `<hex payload>` line of a snap op: exactly one line whose
@@ -349,9 +358,8 @@ fn parse_hex_payload<'a>(
 }
 
 fn parse_u64(tok: Option<&str>, what: &str) -> Result<u64, String> {
-    tok.ok_or_else(|| format!("missing {what}"))?
-        .parse()
-        .map_err(|_| format!("bad {what}"))
+    let tok = tok.ok_or_else(|| format!("missing {what}"))?;
+    canonical_u64(tok, 10).ok_or_else(|| format!("bad {what}"))
 }
 
 impl Request {
@@ -441,10 +449,7 @@ impl Request {
                     None => None,
                     Some("fp") => {
                         let hex = f.next().ok_or("missing fp value")?;
-                        Some(
-                            u64::from_str_radix(hex, 16)
-                                .map_err(|_| "bad fp (want hex)".to_string())?,
-                        )
+                        Some(parse_hex_u64(Some(hex), "fp")?)
                     }
                     Some(other) => return Err(format!("unexpected token '{other}' after seed")),
                 };
@@ -509,10 +514,9 @@ impl Request {
             }),
             "stats" => match f.next() {
                 None => Ok(Request::Stats { session: None }),
-                Some(tok) => {
-                    let id = tok.parse().map_err(|_| "bad session".to_string())?;
-                    Ok(Request::Stats { session: Some(id) })
-                }
+                Some(tok) => Ok(Request::Stats {
+                    session: Some(parse_u64(Some(tok), "session")?),
+                }),
             },
             "dump" => {
                 if let Some(extra) = f.next() {
@@ -1045,6 +1049,20 @@ mod tests {
             .to_text(),
             "ok snap face 4\n000fa5ff\n"
         );
+    }
+
+    #[test]
+    fn header_numbers_reject_a_leading_plus() {
+        for (frame, why) in [
+            ("close +7", "bad session"),
+            ("snap_get +1f", "bad fp (want hex)"),
+            ("open planar-2d 2 coord 5 fp +abc", "bad fp (want hex)"),
+            ("stats +3", "bad session"),
+        ] {
+            assert_eq!(Request::from_text(frame).unwrap_err(), why, "{frame:?}");
+            let canonical = frame.replace('+', "");
+            assert!(Request::from_text(&canonical).is_ok(), "{canonical:?}");
+        }
     }
 
     #[test]

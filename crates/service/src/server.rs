@@ -38,7 +38,7 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Max jobs queued or executing per session before backpressure.
     pub session_queue_cap: usize,
-    /// Session-pool capacity (must be a power of two).
+    /// Session slots: the most sessions open at once (at least 1).
     pub max_sessions: usize,
     /// CHT geometry for every leased shard.
     pub cht_params: ChtParams,
@@ -269,8 +269,7 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics when `config.max_sessions` is not a power of two or
-    /// `config.workers` is zero.
+    /// Panics when `config.max_sessions` or `config.workers` is zero.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         assert!(config.workers > 0, "need at least one worker");
         let listener = TcpListener::bind(&config.addr)?;

@@ -1,7 +1,7 @@
-//! Session registry: each open planning query leases a private shard of a
-//! [`ShardedCht`] pool, so concurrent clients never alias each other's
-//! collision history (the paper resets the CHT per planning query; a
-//! leased shard is exactly that lifetime).
+//! Session registry: each open planning query leases one private
+//! [`ConcurrentCht`] from a fixed set of slots, so concurrent clients never
+//! alias each other's collision history (the paper resets the CHT per
+//! planning query; a leased table is exactly that lifetime).
 //!
 //! The registry enforces a capacity cap with LRU eviction: opening a
 //! session when the table is full evicts the least-recently-used *idle*
@@ -15,7 +15,7 @@ use copred_collision::{run_predicted_schedule, run_schedule, CdqInfo, CdqPredict
 use copred_core::{ChtParams, CollisionHash, CoordHash, HashInput};
 use copred_kinematics::{presets, Config, Robot};
 use copred_store::{SessionStore, StoreRegistry, StoreStats, TableImage};
-use copred_swexec::{ConcurrentCht, ShardedCht};
+use copred_swexec::ConcurrentCht;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -369,10 +369,10 @@ pub struct OpenOutcome {
 /// The concurrent session table. All methods are safe to call from any
 /// connection or worker thread.
 pub struct SessionRegistry {
-    pool: ShardedCht,
+    /// One table per session slot; a session leases `slots[shard_slot]`.
+    slots: Vec<Arc<ConcurrentCht>>,
     inner: Mutex<RegistryInner>,
     clock: AtomicU64,
-    capacity: usize,
     store: Option<Arc<StoreRegistry>>,
     /// Telemetry rendered as `copred_store_*` even when the store is
     /// disabled (all-zero counters keep the metrics page shape stable).
@@ -380,13 +380,12 @@ pub struct SessionRegistry {
 }
 
 impl SessionRegistry {
-    /// Builds a registry whose shard pool has `capacity` independent CHTs
-    /// of `params` geometry.
+    /// Builds a registry with `capacity` session slots, each an independent
+    /// CHT of `params` geometry.
     ///
     /// # Panics
     ///
-    /// Panics when `capacity` is zero or not a power of two (the
-    /// [`ShardedCht`] slot-count invariant).
+    /// Panics when `capacity` is zero.
     pub fn new(params: ChtParams, capacity: usize) -> Self {
         Self::new_with_store(params, capacity, None)
     }
@@ -399,15 +398,17 @@ impl SessionRegistry {
         capacity: usize,
         store: Option<Arc<StoreRegistry>>,
     ) -> Self {
+        assert!(capacity > 0, "a session registry needs at least one slot");
         SessionRegistry {
-            pool: ShardedCht::new(params, capacity),
+            slots: (0..capacity)
+                .map(|_| Arc::new(ConcurrentCht::new(params)))
+                .collect(),
             inner: Mutex::new(RegistryInner {
                 sessions: HashMap::new(),
                 free_slots: (0..capacity).rev().collect(),
                 next_id: 1,
             }),
             clock: AtomicU64::new(0),
-            capacity,
             store,
             fallback_stats: Arc::new(StoreStats::new()),
         }
@@ -422,21 +423,11 @@ impl SessionRegistry {
         }
     }
 
-    /// Whether a persistence backend is attached.
-    pub fn store_enabled(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// The attached persistence backend, when there is one — the fleet
     /// replication ops read stored snapshots and merge pushed ones through
     /// this.
     pub fn store(&self) -> Option<&Arc<StoreRegistry>> {
         self.store.as_ref()
-    }
-
-    /// Capacity of the shard pool.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Open sessions right now.
@@ -534,7 +525,7 @@ impl SessionRegistry {
             }
         }
         let slot = inner.free_slots.pop().expect("slot after eviction");
-        let shard = self.pool.shard(slot);
+        let shard = Arc::clone(&self.slots[slot]);
         // The slot may have a previous tenant's history: a session always
         // starts with the paper's per-query reset.
         shard.reset();

@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use copred_core::ChtParams;
+use copred_core::{Cell, ChtParams};
 use copred_service::protocol::{Request, Response};
 use copred_store::snapshot::{decode, encode};
 use copred_store::TableImage;
@@ -62,7 +62,7 @@ fn codec_allocations(bits: u32) -> [u64; 5] {
     let mut image = TableImage::empty(params);
     image.u_state = 0x9E37_79B9_7F4A_7C15;
     for (i, cell) in image.cells.iter_mut().enumerate() {
-        *cell = ((i % 16) as u8, (i / 16 % 16) as u8);
+        *cell = Cell::new((i % 16) as u8, (i / 16 % 16) as u8);
     }
     let (encode_n, bytes) = allocations(|| encode(&image));
     let resp = Response::Snap {

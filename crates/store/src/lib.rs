@@ -23,6 +23,8 @@
 //! segment format (`CPRDWAL1`, 10-byte records) are a compatibility
 //! contract — see ROADMAP.md. Everything is std-only, like the BENCH JSON.
 
+#![forbid(unsafe_code)]
+
 pub mod crc;
 pub mod fingerprint;
 pub mod registry;

@@ -315,7 +315,7 @@ impl Drop for Lease<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copred_core::Strategy;
+    use copred_core::{Cell, Strategy};
 
     fn params() -> ChtParams {
         ChtParams {
@@ -354,7 +354,7 @@ mod tests {
         assert_eq!(stat(&registry, "warm_misses"), 1);
         let mut image = TableImage::empty(params());
         image.u_state = 99;
-        image.cells[3] = (5, 1);
+        image.cells[3] = Cell::new(5, 1);
         assert!(opened.store.persist(&image).unwrap());
         drop(opened);
         let again = registry.open_session(fp, &params()).unwrap();
@@ -456,11 +456,11 @@ mod tests {
         drop(opened); // no persist: state lives in the WAL suffix
         let mut incoming = TableImage::empty(params());
         incoming.u_state = 41;
-        incoming.cells[3] = (9, 2);
+        incoming.cells[3] = Cell::new(9, 2);
         assert!(registry.merge_image(fp, &incoming).unwrap());
         let loaded = registry.load(fp, &params()).unwrap();
-        assert_eq!(loaded.cells[3], (9, 2), "incoming cell present");
-        assert_eq!(loaded.cells[5], (1, 0), "WAL suffix folded in");
+        assert_eq!(loaded.cells[3], Cell::new(9, 2), "incoming cell present");
+        assert_eq!(loaded.cells[5], Cell::new(1, 0), "WAL suffix folded in");
         assert_eq!(loaded.u_state, 41, "incoming lineage's RNG word wins");
         // Duplicate push converges: merging the same image changes nothing.
         registry.merge_image(fp, &incoming).unwrap();
@@ -474,12 +474,15 @@ mod tests {
         let registry = StoreRegistry::open(&root).unwrap();
         let fp = 0x22BE;
         let mut incoming = TableImage::empty(params());
-        incoming.cells[0] = (2, 1);
+        incoming.cells[0] = Cell::new(2, 1);
         assert!(
             !registry.merge_image(fp, &incoming).unwrap(),
             "nothing stored: fresh install"
         );
-        assert_eq!(registry.load(fp, &params()).unwrap().cells[0], (2, 1));
+        assert_eq!(
+            registry.load(fp, &params()).unwrap().cells[0],
+            Cell::new(2, 1)
+        );
         // Stored state under different parameters is stale (same rule as
         // load): the incoming image replaces it rather than erroring.
         let other = ChtParams {
@@ -487,9 +490,9 @@ mod tests {
             ..params()
         };
         let mut reshaped = TableImage::empty(other);
-        reshaped.cells[7] = (3, 0);
+        reshaped.cells[7] = Cell::new(3, 0);
         assert!(!registry.merge_image(fp, &reshaped).unwrap());
-        assert_eq!(registry.load(fp, &other).unwrap().cells[7], (3, 0));
+        assert_eq!(registry.load(fp, &other).unwrap().cells[7], Cell::new(3, 0));
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -532,7 +535,7 @@ mod tests {
         assert!(panicked.is_err(), "compaction must have called image_fn");
         assert!(opened.store.is_owner());
         let mut image = TableImage::empty(params());
-        image.cells[2] = (1, 0);
+        image.cells[2] = Cell::new(1, 0);
         assert!(opened.store.persist(&image).unwrap());
         drop(opened);
         let again = registry.open_session(fp, &params()).unwrap();
@@ -583,7 +586,7 @@ mod tests {
         let fp = 0x99;
         let opened = registry.open_session(fp, &params()).unwrap();
         let mut image = TableImage::empty(params());
-        image.cells[0] = (1, 0);
+        image.cells[0] = Cell::new(1, 0);
         opened.store.persist(&image).unwrap();
         drop(opened);
         let snap = registry

@@ -25,7 +25,7 @@
 
 use crate::crc::crc32;
 use crate::StoreError;
-use copred_core::{Cht, ChtParams, Strategy};
+use copred_core::{Cell, ChtParams, Strategy};
 use std::path::Path;
 
 /// Current snapshot format version.
@@ -41,11 +41,11 @@ const HEADER_LEN: usize = 52;
 const MAX_BITS: u32 = 24;
 
 /// An owned, plain-memory image of a CHT: parameters, the `U`-policy RNG
-/// word, and every entry's `(COLL, NONCOLL)` counters in entry order.
+/// word, and every entry's [`Cell`] in entry order.
 ///
-/// This is the interchange type between live tables (`copred_core::Cht`,
-/// `copred_swexec::ConcurrentCht` via `export_cells`/`load_cells`), the
-/// snapshot codec, and WAL replay.
+/// This is the interchange type between a live session table
+/// (`copred_swexec::ConcurrentCht`, whose `export_cells` and `load_cells`
+/// produce and take `cells`), the snapshot codec, and WAL replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableImage {
     /// Table sizing/policy parameters.
@@ -53,8 +53,8 @@ pub struct TableImage {
     /// The session's xorshift64 u-draw state at snapshot time (0 = unknown;
     /// warm-start callers remap 0 to a fresh seed).
     pub u_state: u64,
-    /// `(COLL, NONCOLL)` for every entry; length is `params.entries()`.
-    pub cells: Vec<(u8, u8)>,
+    /// Every entry's counters; length is `params.entries()`.
+    pub cells: Vec<Cell>,
 }
 
 impl TableImage {
@@ -70,57 +70,29 @@ impl TableImage {
         );
         TableImage {
             u_state: 0,
-            cells: vec![(0, 0); params.entries()],
+            cells: vec![Cell::default(); params.entries()],
             params,
-        }
-    }
-
-    /// Captures a reference table's counters.
-    pub fn from_cht(cht: &Cht) -> Self {
-        let params = *cht.params();
-        let mut image = TableImage::empty(params);
-        for code in 0..params.entries() as u64 {
-            image.cells[code as usize] = cht.counters(code);
-        }
-        image
-    }
-
-    /// Writes this image's counters into a reference table.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the table's parameters differ from the image's.
-    pub fn apply_to_cht(&self, cht: &mut Cht) {
-        assert_eq!(cht.params(), &self.params, "image/table parameter mismatch");
-        for (code, &(c, n)) in self.cells.iter().enumerate() {
-            cht.set_counters(code as u64, c, n);
         }
     }
 
     /// Entries with any recorded history.
     pub fn occupancy(&self) -> usize {
-        self.cells.iter().filter(|&&(c, n)| c > 0 || n > 0).count()
+        self.cells.iter().filter(|c| !c.is_empty()).count()
     }
 
-    /// Applies one logged observe write: a saturating increment of the
-    /// addressed counter. This is the WAL replay rule; it matches
-    /// `ConcurrentCht::observe` for *applied* writes exactly (the `U` gate
-    /// already ran before the record was logged). Free records in 1-bit
-    /// mode are ignored — a live 1-bit table never applies them, so any
-    /// found in a log are stray corruption tolerated rather than replayed.
+    /// Applies one logged observe write with [`Cell::apply`], the rule
+    /// the live table used (the `U` gate already ran before the record was
+    /// logged). A free record in 1-bit mode changes nothing — a live 1-bit
+    /// table never applies one, so any found in a log is stray corruption
+    /// tolerated rather than replayed.
     pub fn apply_record(&mut self, code: u64, colliding: bool) {
-        let max = ((1u32 << self.params.counter_bits) - 1) as u8;
         let i = (code & ((1u64 << self.params.bits) - 1)) as usize;
         let cell = &mut self.cells[i];
-        if colliding {
-            cell.0 = cell.0.saturating_add(1).min(max);
-        } else if self.params.counter_bits > 1 {
-            cell.1 = cell.1.saturating_add(1).min(max);
-        }
+        *cell = cell.apply(colliding, self.params.counter_bits);
     }
 
     /// Folds another image of the same geometry into this one by per-cell
-    /// component-wise maximum — the replication merge rule. Counters only
+    /// [`Cell::max`] — the replication merge rule. Counters only
     /// grow under `apply_record`, so max is a join: merging is commutative,
     /// associative, and idempotent, which is what makes duplicate and
     /// out-of-order snapshot pushes between peers converge instead of
@@ -144,8 +116,7 @@ impl TableImage {
             )));
         }
         for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
-            mine.0 = mine.0.max(theirs.0);
-            mine.1 = mine.1.max(theirs.1);
+            *mine = mine.max(*theirs);
         }
         if self.u_state == 0 {
             self.u_state = other.u_state;
@@ -238,12 +209,12 @@ pub fn encode(image: &TableImage) -> Vec<u8> {
         acc: 0,
         pending: 0,
     };
-    for &(c, n) in &image.cells {
+    for c in &image.cells {
         if p.counter_bits == 1 {
-            w.push(u8::from(c != 0), 1);
+            w.push(u8::from(c.coll != 0), 1);
         } else {
-            w.push(c, p.counter_bits);
-            w.push(n, p.counter_bits);
+            w.push(c.coll, p.counter_bits);
+            w.push(c.noncoll, p.counter_bits);
         }
     }
     w.finish();
@@ -332,9 +303,9 @@ pub fn decode(bytes: &[u8]) -> Result<TableImage, StoreError> {
     let cells = (0..entries)
         .map(|_| {
             if counter_bits == 1 {
-                (r.pull(1).unwrap(), 0)
+                Cell::new(r.pull(1).unwrap(), 0)
             } else {
-                (r.pull(counter_bits).unwrap(), r.pull(counter_bits).unwrap())
+                Cell::new(r.pull(counter_bits).unwrap(), r.pull(counter_bits).unwrap())
             }
         })
         .collect();
@@ -380,7 +351,8 @@ mod tests {
         let p = &image.params;
         let mut payload: Vec<u8> = Vec::new();
         let mut bit = 0;
-        for &(c, n) in &image.cells {
+        for cell in &image.cells {
+            let (c, n) = (cell.coll, cell.noncoll);
             let fields = if p.counter_bits == 1 {
                 vec![(u8::from(c != 0), 1)]
             } else {
@@ -434,16 +406,16 @@ mod tests {
                         x ^= x << 13;
                         x ^= x >> 7;
                         x ^= x << 17;
-                        *cell = (x as u8, (x >> 8) as u8);
+                        *cell = Cell::new(x as u8, (x >> 8) as u8);
                     }
                     let bytes = encode(&image);
                     prop_assert_eq!(&bytes, &reference_encode(&image), "{}x{}", bits, counter_bits);
                     let max = low_bits(counter_bits);
                     for cell in &mut image.cells {
                         *cell = if counter_bits == 1 {
-                            (u8::from(cell.0 != 0), 0)
+                            Cell::new(u8::from(cell.coll != 0), 0)
                         } else {
-                            (cell.0 & max, cell.1 & max)
+                            Cell::new(cell.coll & max, cell.noncoll & max)
                         };
                     }
                     prop_assert_eq!(decode(&bytes).unwrap(), image);
@@ -471,8 +443,8 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let span = u32::from(max) + 1;
-            cell.0 = (x as u32 % span) as u8;
-            cell.1 = if p.counter_bits == 1 {
+            cell.coll = (x as u32 % span) as u8;
+            cell.noncoll = if p.counter_bits == 1 {
                 0
             } else {
                 ((x >> 8) as u32 % span) as u8
@@ -524,24 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_record_matches_saturating_observe() {
-        let mut image = TableImage::empty(params(2, 1.0, 1.0));
-        for _ in 0..10 {
-            image.apply_record(5, true);
-            image.apply_record(5, false);
-        }
-        assert_eq!(image.cells[5], (3, 3)); // 2-bit max
-        image.apply_record(0x105, true); // aliases onto entry 5
-        assert_eq!(image.cells[5], (3, 3));
-        // 1-bit mode ignores free records entirely.
-        let mut one = TableImage::empty(params(1, 0.0, 0.0));
-        one.apply_record(9, false);
-        assert_eq!(one.occupancy(), 0);
-        one.apply_record(9, true);
-        assert_eq!(one.cells[9], (1, 0));
-    }
-
-    #[test]
     fn merge_max_is_a_join() {
         let p = params(4, 1.0, 0.125);
         let a = filled(p, 11);
@@ -556,9 +510,9 @@ mod tests {
         let snap = ab.clone();
         ab.merge_max(&b).unwrap();
         assert_eq!(ab, snap, "duplicate merge must be a no-op");
-        for (i, &(c, n)) in ab.cells.iter().enumerate() {
-            assert_eq!(c, a.cells[i].0.max(b.cells[i].0));
-            assert_eq!(n, a.cells[i].1.max(b.cells[i].1));
+        for (i, c) in ab.cells.iter().enumerate() {
+            assert_eq!(c.coll, a.cells[i].coll.max(b.cells[i].coll));
+            assert_eq!(c.noncoll, a.cells[i].noncoll.max(b.cells[i].noncoll));
         }
     }
 
@@ -581,21 +535,6 @@ mod tests {
         let mut a = TableImage::empty(params(2, 1.0, 1.0));
         let b = TableImage::empty(params(4, 1.0, 1.0));
         assert!(matches!(a.merge_max(&b), Err(StoreError::Mismatch(_))));
-    }
-
-    #[test]
-    fn cht_roundtrip_is_bit_exact() {
-        let mut cht = Cht::new(params(4, 1.0, 1.0), 11);
-        for code in 0..200u64 {
-            cht.observe(code * 3, code % 2 == 0);
-        }
-        let image = TableImage::from_cht(&cht);
-        let back = decode(&encode(&image)).unwrap();
-        let mut restored = Cht::new(params(4, 1.0, 1.0), 11);
-        back.apply_to_cht(&mut restored);
-        for code in 0..256u64 {
-            assert_eq!(restored.counters(code), cht.counters(code));
-        }
     }
 
     #[test]

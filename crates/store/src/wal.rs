@@ -214,7 +214,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copred_core::{ChtParams, Strategy};
+    use copred_core::{Cell, ChtParams, Strategy};
 
     fn params() -> ChtParams {
         ChtParams {
@@ -293,7 +293,7 @@ mod tests {
         let summary = replay(&dir, &mut image);
         assert_eq!(summary.applied, 10);
         for i in 0..10usize {
-            assert_eq!(image.cells[i], (1, 0));
+            assert_eq!(image.cells[i], Cell::new(1, 0));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -35,8 +35,8 @@ fn random_image(p: ChtParams, fill_seed: u64) -> TableImage {
         x ^= x >> 7;
         x ^= x << 17;
         let span = u32::from(max) + 1;
-        cell.0 = (x as u32 % span) as u8;
-        cell.1 = if p.counter_bits == 1 {
+        cell.coll = (x as u32 % span) as u8;
+        cell.noncoll = if p.counter_bits == 1 {
             0
         } else {
             ((x >> 8) as u32 % span) as u8

@@ -2,33 +2,49 @@
 //! collision detection (paper §III-E: "The hash table is shared between all
 //! threads").
 //!
-//! Counters are relaxed atomics: like the hardware table, racy increments
-//! may occasionally lose an update, which is harmless for a predictor (the
-//! paper's software implementation makes the same trade).
+//! Each entry is one relaxed atomic word holding a [`Cell`], updated by
+//! compare-and-swap. An entry publishes no other data, so relaxed ordering
+//! is enough: a reader sees some recent cell, as the hardware table's
+//! readers do.
 
-use copred_core::{ChtParams, Strategy};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use copred_core::{Cell, ChtParams};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+/// Bit offset of the alias fingerprint in a table word; the cell's
+/// [`Cell::to_bits`] form fills the bits below it.
+const FP_SHIFT: u32 = 16;
+
+/// The cell held in a table word.
+#[inline]
+fn cell_of(word: u32) -> Cell {
+    Cell::from_bits(word as u16)
+}
 
 /// A thread-safe CHT with the same prediction semantics as
 /// [`copred_core::Cht`].
 #[derive(Debug)]
 pub struct ConcurrentCht {
-    coll: Vec<AtomicU8>,
-    noncoll: Vec<AtomicU8>,
-    /// 8-bit fingerprint of the last code written to each entry, used to
-    /// estimate hash aliasing (distinct codes sharing an entry). Purely
-    /// telemetry: predictions never read it.
-    fingerprint: Vec<AtomicU8>,
+    /// One word per entry: the [`Cell`] in bits 0..16, and in bits 16..24
+    /// an 8-bit fingerprint of the last code written to it, which estimates
+    /// hash aliasing (distinct codes sharing an entry). Predictions never
+    /// read the fingerprint.
+    words: Vec<AtomicU32>,
+    counts: WriteCounts,
+    params: ChtParams,
+    mask: u64,
+}
+
+/// The write telemetry, on a cache line of its own. Every applied observe
+/// bumps it; on the line holding `words` and `params`, which every predict
+/// reads, it made concurrent workers contend for that line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct WriteCounts {
     /// Applied observe() writes.
     writes: AtomicU64,
     /// Writes that hit an occupied entry whose fingerprint changed —
     /// i.e. a different code aliased onto the same entry.
     alias_events: AtomicU64,
-    params: ChtParams,
-    strategy: Strategy,
-    counter_max: u8,
-    update_fraction: f64,
-    mask: u64,
 }
 
 /// Fingerprint of a CDQ code for alias detection: top byte of a Fibonacci
@@ -46,16 +62,9 @@ impl ConcurrentCht {
     /// Panics when `params.bits` exceeds 24 (software tables are dense).
     pub fn new(params: ChtParams) -> Self {
         assert!(params.bits <= 24, "shared CHT must be dense (<= 24 bits)");
-        let n = params.entries();
         ConcurrentCht {
-            coll: (0..n).map(|_| AtomicU8::new(0)).collect(),
-            noncoll: (0..n).map(|_| AtomicU8::new(0)).collect(),
-            fingerprint: (0..n).map(|_| AtomicU8::new(0)).collect(),
-            writes: AtomicU64::new(0),
-            alias_events: AtomicU64::new(0),
-            strategy: params.strategy,
-            counter_max: ((1u32 << params.counter_bits) - 1) as u8,
-            update_fraction: params.update_fraction,
+            words: (0..params.entries()).map(|_| AtomicU32::new(0)).collect(),
+            counts: WriteCounts::default(),
             mask: (1u64 << params.bits) - 1,
             params,
         }
@@ -68,44 +77,41 @@ impl ConcurrentCht {
 
     /// Number of table entries.
     pub fn entries(&self) -> usize {
-        self.coll.len()
+        self.words.len()
+    }
+
+    fn cells(&self) -> impl Iterator<Item = Cell> + '_ {
+        self.words
+            .iter()
+            .map(|w| cell_of(w.load(Ordering::Relaxed)))
     }
 
     /// Entries with at least one nonzero counter — a warm-up/contention
     /// proxy exposed through the service STATS verb.
     pub fn occupancy(&self) -> usize {
-        (0..self.coll.len())
-            .filter(|&i| {
-                self.coll[i].load(Ordering::Relaxed) != 0
-                    || self.noncoll[i].load(Ordering::Relaxed) != 0
-            })
-            .count()
+        self.cells().filter(|c| !c.is_empty()).count()
     }
 
     /// Entries with at least one counter pinned at its saturating maximum.
     pub fn saturated_entries(&self) -> usize {
-        (0..self.coll.len())
-            .filter(|&i| {
-                self.coll[i].load(Ordering::Relaxed) == self.counter_max
-                    || self.noncoll[i].load(Ordering::Relaxed) == self.counter_max
-            })
-            .count()
+        let bits = self.params.counter_bits;
+        self.cells().filter(|c| c.is_saturated(bits)).count()
     }
 
     /// Fraction of entries with a saturated counter, in `[0, 1]`.
     pub fn saturation_fraction(&self) -> f64 {
-        self.saturated_entries() as f64 / self.coll.len() as f64
+        self.saturated_entries() as f64 / self.words.len() as f64
     }
 
     /// Applied `observe` writes since construction or [`reset`](Self::reset).
     pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
+        self.counts.writes.load(Ordering::Relaxed)
     }
 
     /// Writes that landed on an occupied entry last written by a different
     /// code (fingerprint mismatch).
     pub fn alias_events(&self) -> u64 {
-        self.alias_events.load(Ordering::Relaxed)
+        self.counts.alias_events.load(Ordering::Relaxed)
     }
 
     /// Estimated fraction of writes that aliased with a different code,
@@ -121,32 +127,14 @@ impl ConcurrentCht {
     }
 
     #[inline]
-    fn idx(&self, code: u64) -> usize {
-        (code & self.mask) as usize
-    }
-
-    /// Telemetry bookkeeping for an applied write: count it, and count an
-    /// alias event when the entry was occupied by a different code. Races
-    /// between the occupancy check and the swap can miscount by a write or
-    /// two under contention, matching the table's relaxed-counter trade.
-    #[inline]
-    fn note_write(&self, i: usize, code: u64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        let occupied = self.coll[i].load(Ordering::Relaxed) != 0
-            || self.noncoll[i].load(Ordering::Relaxed) != 0;
-        let fp = fingerprint_of(code);
-        let prev = self.fingerprint[i].swap(fp, Ordering::Relaxed);
-        if occupied && prev != fp {
-            self.alias_events.fetch_add(1, Ordering::Relaxed);
-        }
+    fn word(&self, code: u64) -> &AtomicU32 {
+        &self.words[(code & self.mask) as usize]
     }
 
     /// Prediction lookup.
     pub fn predict(&self, code: u64) -> bool {
-        let i = self.idx(code);
-        let c = self.coll[i].load(Ordering::Relaxed);
-        let n = self.noncoll[i].load(Ordering::Relaxed);
-        self.strategy.predicts(c, n)
+        let word = self.word(code).load(Ordering::Relaxed);
+        self.params.strategy.predicts(cell_of(word))
     }
 
     /// Records an executed CDQ's outcome. `u_draw` is a uniform [0,1) draw
@@ -155,87 +143,73 @@ impl ConcurrentCht {
     /// table, `false` when the `U` policy (or 1-bit mode) skipped it — the
     /// discriminator `copred-store` uses to write an RNG-free WAL: only
     /// applied writes are logged, so replay is a pure saturating increment.
+    /// A write to a saturated entry is still applied.
+    ///
+    /// The cell update and the fingerprint swap are one compare-and-swap
+    /// on the entry's word, so concurrent writers never lose an increment;
+    /// the telemetry counters are relaxed statistics.
     pub fn observe(&self, code: u64, colliding: bool, u_draw: f64) -> bool {
-        let i = self.idx(code);
-        let cell = if colliding {
-            &self.coll[i]
-        } else {
-            // 1-bit entries store only the collision bit; free outcomes
-            // are never recorded, matching `copred_core::Cht` (which a
-            // NONCOLL write here would diverge from: with S ≤ 1 an entry
-            // that saw both outcomes would flip its prediction to free).
-            if self.params.counter_bits == 1 || u_draw >= self.update_fraction {
-                return false;
-            }
-            &self.noncoll[i]
-        };
-        self.note_write(i, code);
-        // Saturating increment via CAS loop.
-        let mut cur = cell.load(Ordering::Relaxed);
-        while cur < self.counter_max {
-            match cell.compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(v) => cur = v,
-            }
+        let bits = self.params.counter_bits;
+        if !colliding && (!Cell::records_free(bits) || u_draw >= self.params.update_fraction) {
+            return false;
+        }
+        let fp = fingerprint_of(code);
+        let tag = u32::from(fp) << FP_SHIFT;
+        let update = self
+            .word(code)
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
+                Some(tag | u32::from(cell_of(w).apply(colliding, bits).to_bits()))
+            });
+        let (Ok(old) | Err(old)) = update;
+        self.counts.writes.fetch_add(1, Ordering::Relaxed);
+        if !cell_of(old).is_empty() && (old >> FP_SHIFT) as u8 != fp {
+            self.counts.alias_events.fetch_add(1, Ordering::Relaxed);
         }
         true
     }
 
-    /// Copies the raw `(COLL, NONCOLL)` counters of every entry, in entry
-    /// order — the export hook `copred-store` snapshots from. Relaxed loads:
-    /// callers snapshot quiescent (leased-out or drained) shards.
-    pub fn export_cells(&self) -> Vec<(u8, u8)> {
-        (0..self.coll.len())
-            .map(|i| {
-                (
-                    self.coll[i].load(Ordering::Relaxed),
-                    self.noncoll[i].load(Ordering::Relaxed),
-                )
-            })
-            .collect()
+    /// Copies every entry's cell, in entry order — the export hook
+    /// `copred-store` snapshots from. Relaxed loads: callers snapshot
+    /// quiescent (leased-out or drained) tables.
+    pub fn export_cells(&self) -> Vec<Cell> {
+        self.cells().collect()
     }
 
-    /// Overwrites every entry's counters from `cells` (values clamped to the
-    /// counter width), clearing the telemetry the way [`reset`](Self::reset)
+    /// Overwrites every entry from `cells` (each clamped to the counter
+    /// width), clearing the telemetry the way [`reset`](Self::reset)
     /// does — the warm-start import hook for `copred-store`.
     ///
     /// # Panics
     ///
     /// Panics when `cells.len()` differs from [`entries`](Self::entries).
-    pub fn load_cells(&self, cells: &[(u8, u8)]) {
+    pub fn load_cells(&self, cells: &[Cell]) {
         assert_eq!(
             cells.len(),
-            self.coll.len(),
+            self.words.len(),
             "cell image size must match the table"
         );
-        for (i, &(c, n)) in cells.iter().enumerate() {
-            self.coll[i].store(c.min(self.counter_max), Ordering::Relaxed);
-            self.noncoll[i].store(n.min(self.counter_max), Ordering::Relaxed);
-            self.fingerprint[i].store(0, Ordering::Relaxed);
+        let bits = self.params.counter_bits;
+        for (w, c) in self.words.iter().zip(cells) {
+            w.store(u32::from(c.clamp(bits).to_bits()), Ordering::Relaxed);
         }
-        self.writes.store(0, Ordering::Relaxed);
-        self.alias_events.store(0, Ordering::Relaxed);
+        self.counts.writes.store(0, Ordering::Relaxed);
+        self.counts.alias_events.store(0, Ordering::Relaxed);
     }
 
     /// Clears the table (new planning query).
     pub fn reset(&self) {
-        for c in &self.coll {
-            c.store(0, Ordering::Relaxed);
+        for w in &self.words {
+            w.store(0, Ordering::Relaxed);
         }
-        for n in &self.noncoll {
-            n.store(0, Ordering::Relaxed);
-        }
-        for f in &self.fingerprint {
-            f.store(0, Ordering::Relaxed);
-        }
-        self.writes.store(0, Ordering::Relaxed);
-        self.alias_events.store(0, Ordering::Relaxed);
+        self.counts.writes.store(0, Ordering::Relaxed);
+        self.counts.alias_events.store(0, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copred_core::Strategy;
     use std::sync::Arc;
 
     fn params() -> ChtParams {
@@ -324,6 +298,16 @@ mod tests {
         }
         // Saturated at the 4-bit max; prediction holds.
         assert!(cht.predict(5));
+        // No increment went past the max, and the fingerprint stored
+        // beside the cell in the same word never leaks into it.
+        assert_ne!(fingerprint_of(5), 0, "a zero fingerprint would hide a leak");
+        let cells = cht.export_cells();
+        assert_eq!(cells[5], Cell::new(15, 0));
+        assert!(cells
+            .iter()
+            .enumerate()
+            .all(|(i, c)| i == 5 || c.is_empty()));
+        assert_eq!(cht.writes(), 8000);
     }
 
     #[test]
@@ -414,9 +398,9 @@ mod tests {
         // saturating CAS loop (`cur < max` would never stop at 200).
         let c = ConcurrentCht::new(params());
         let mut wild = cells;
-        wild[0] = (200, 200);
+        wild[0] = Cell::new(200, 200);
         c.load_cells(&wild);
-        assert_eq!(c.export_cells()[0], (15, 15));
+        assert_eq!(c.export_cells()[0], Cell::new(15, 15));
     }
 
     #[test]

@@ -26,15 +26,14 @@
 //! assert_eq!(result.colliding_motions, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod concurrent_cht;
 mod cpu;
 mod gpu;
-mod shard;
 
 pub use concurrent_cht::ConcurrentCht;
 pub use cpu::{run_cpu, CpuExecConfig, CpuExecResult};
 pub use gpu::{gpu_sweep, run_gpu_model, GpuModelParams, GpuRun, GpuSweepRow, MOTION_LANES};
-pub use shard::ShardedCht;
