@@ -3,7 +3,7 @@
 //! ```text
 //! copred_server [key=value ...]
 //!   addr=127.0.0.1:7457   bind address (port 0 = OS-assigned)
-//!   workers=4             worker threads
+//!   workers=4             worker threads (at least 1)
 //!   queue=128             global queue capacity (batches)
 //!   session_queue=32      per-session pending cap
 //!   max_sessions=64       session slots, the most sessions open at once
@@ -56,17 +56,16 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<ServerConfig, String>
                 .parse::<u64>()
                 .map_err(|_| format!("bad number for {key}: '{value}'"))
         };
+        let positive = || match num()? {
+            0 => Err(format!("bad number for {key}: '{value}' (want at least 1)")),
+            n => Ok(n as usize),
+        };
         match key.as_str() {
             "addr" => cfg.addr = value.to_string(),
-            "workers" => cfg.workers = num()? as usize,
+            "workers" => cfg.workers = positive()?,
             "queue" => cfg.queue_capacity = num()? as usize,
             "session_queue" => cfg.session_queue_cap = num()? as usize,
-            "max_sessions" => {
-                cfg.max_sessions = match num()? {
-                    0 => return Err(format!("bad number for {key}: '{value}' (want at least 1)")),
-                    n => n as usize,
-                }
-            }
+            "max_sessions" => cfg.max_sessions = positive()?,
             "csp_step" => cfg.csp_step = num()? as usize,
             "retry_ms" => cfg.retry_after_ms = num()?,
             "metrics_addr" => cfg.metrics_addr = Some(value.to_string()),
@@ -162,6 +161,15 @@ mod tests {
             let cfg = parse(&[&format!("max_sessions={n}")]).unwrap();
             assert_eq!(cfg.max_sessions, n);
             copred_service::SessionRegistry::new(cfg.cht_params, cfg.max_sessions);
+        }
+    }
+
+    #[test]
+    fn workers_takes_any_positive_count() {
+        let err = parse(&["workers=0"]).unwrap_err();
+        assert_eq!(err, "bad number for workers: '0' (want at least 1)");
+        for n in [1, 2, 16] {
+            assert_eq!(parse(&[&format!("workers={n}")]).unwrap().workers, n);
         }
     }
 

@@ -7,8 +7,9 @@
 //!   all-colliding, real-robot enumerations) that feed the schedule
 //!   invariant checks of [`crate::reference`].
 //! * **Query traces** — full [`QueryTrace`] workloads in the service wire
-//!   encoding, replayed both in-process and over a loopback TCP session by
-//!   [`crate::service_diff`].
+//!   encoding, replayed in-process and over loopback TCP through
+//!   [`copred_replay::run_ab`] by stages 2 and 4–8 (for stage 2, see
+//!   [`crate::service_check`]).
 //!
 //! Everything is a pure function of the seed: a reported divergence is
 //! reproducible from its case number alone.

@@ -11,9 +11,11 @@
 //! 1. **Schedule semantics** ([`reference`]) — every schedule and
 //!    `run_predicted_schedule` under cold, adversarial, and perfect
 //!    predictors, diffed against a brute-force reference.
-//! 2. **Service replay** ([`service_diff`]) — the in-process scheduler vs
-//!    a loopback `copred-service` session, every `CheckResult` and the
-//!    metrics ledger diffed, plus a swexec CPU-path verdict cross-check.
+//! 2. **Service differential** ([`service_check`]) — in-process vs a
+//!    loopback `copred-service` session vs a re-run, every answer
+//!    compared, every verdict held against brute force, and the metrics
+//!    ledger audited over wire `stats` and a `/metrics` scrape; plus a
+//!    swexec CPU-path verdict cross-check ([`run_cpu_diff`]).
 //! 3. **Fault injection** ([`fault`]) — adversarial bytes against the
 //!    frame codec and torn-input scenarios against a live server.
 //! 4. **Persistence** ([`store_check`]) — warm-start equivalence, crash
@@ -28,10 +30,11 @@
 //! 8. **Fleet** ([`fleet_check`]) — fleet vs single node, mid-stream
 //!    migration identity, and hostile snapshot pushes.
 //!
-//! Stages 4–8 share one differential engine, [`copred_replay::run_ab`]:
-//! each case builds a log (recorded with [`copred_replay::record`] or
-//! assembled with [`copred_replay::unrecorded_log`]), names its arms, and
-//! adds only its stage-specific checks on the outcome. Every case's
+//! Stages 2 and 4–8 share one differential engine,
+//! [`copred_replay::run_ab`]: each case builds a log (recorded with
+//! [`copred_replay::record`] or assembled with
+//! [`copred_replay::unrecorded_log`]), names its arms, and adds only its
+//! stage-specific checks on the outcome. Every case's
 //! workload comes from one table of per-stage trace blocks and seeds, so
 //! no two stages replay the same traces.
 //!
@@ -47,12 +50,11 @@ pub mod fault;
 pub mod fleet_check;
 pub mod generate;
 pub mod reference;
-pub mod service_diff;
+pub mod service_check;
 pub mod store_check;
 
 pub use generate::{ScenarioGen, ScheduleCase};
-pub use reference::{brute_force_verdict, check_schedule_case, RecordingPredictor};
-pub use service_diff::{run_cpu_diff, run_service_diff};
+pub use reference::{brute_force_verdict, check_schedule_case, run_cpu_diff, RecordingPredictor};
 
 use copred_replay::{run_ab, AbOutcome, Differential};
 use copred_service::{SchedMode, Server, ServerConfig};
@@ -335,17 +337,18 @@ fn schedule_stage(gen: &ScenarioGen, base_seed: u64, cases: u64) -> StageReport 
     }
 }
 
-/// Stage 2: in-process vs loopback service replay + ledger audit, then
-/// the swexec CPU path (verdicts must survive threading and prediction).
+/// Stage 2: the service differential and its ledger audits, then the
+/// swexec CPU path (verdicts must survive threading and prediction).
 fn service_stage(gen: &ScenarioGen, base_seed: u64, cases: u64) -> StageReport {
     let traces: Vec<_> = (0..cases)
         .map(|c| gen.query_trace(case_workload(2, base_seed, c).0.start))
         .collect();
-    let out = run_service_diff(&traces, case_workload(2, base_seed, 0).1);
+    let (ops, failures) =
+        service_check::run_service_stage(&traces, case_workload(2, base_seed, 0).1);
     let mut report = StageReport {
         cases,
-        ops: out.checks_diffed,
-        failures: out.failures,
+        ops,
+        failures,
         ..StageReport::default()
     };
     for i in 0..3 {
@@ -455,7 +458,7 @@ mod tests {
         // 10 schedule + 3 service (+3 cpu) + 8 fault (+ scenarios) + one
         // case each of stages 4-8.
         assert!(report.total_iterations() >= 29);
-        for stage in 5..=8 {
+        for stage in [2, 5, 6, 7, 8] {
             assert!(
                 report.stage(stage).is_some_and(|s| s.ops > 0),
                 "stage {stage} must replay or compare ops"

@@ -14,11 +14,19 @@
 //! * no CDQ is ever executed twice (observed via a recording predictor);
 //! * a cold (never-predicting) predictor is bit-identical to plain CSP;
 //! * Speculative redundancy is bounded by one batch over naive.
+//!
+//! [`run_cpu_diff`] holds the multi-threaded swexec CPU path to the same
+//! reference: thread count and prediction may change CDQ counts, never a
+//! verdict.
 
 use crate::generate::ScheduleCase;
 use copred_collision::{
     run_predicted_schedule, run_schedule, CdqInfo, CdqPredictor, MotionCheckOutcome, Schedule,
 };
+use copred_core::ChtParams;
+use copred_envgen::{random_scene, Density};
+use copred_kinematics::{presets, Motion, Robot};
+use copred_swexec::{run_cpu, CpuExecConfig};
 use std::collections::HashSet;
 
 /// The reference executor: order-free ground truth.
@@ -242,6 +250,58 @@ fn finish_predictor_checks<F: FnMut(&CdqInfo) -> bool>(
     }
 }
 
+/// Cross-checks the multi-threaded swexec CPU path against brute force:
+/// prediction and thread count may change CDQ counts, never verdicts.
+pub fn run_cpu_diff(seed: u64) -> Vec<String> {
+    let mut failures = Vec::new();
+    let robot: Robot = presets::planar_2d().into();
+    let scene = random_scene(&robot, Density::Medium, 24, seed);
+    let motions: Vec<Vec<_>> = scene
+        .poses
+        .chunks(2)
+        .filter(|p| p.len() == 2)
+        .map(|p| Motion::new(p[0].clone(), p[1].clone()).discretize(6))
+        .collect();
+    let truth: u64 = motions
+        .iter()
+        .map(|poses| {
+            u64::from(
+                copred_collision::enumerate_motion_cdqs(&robot, &scene.env, poses)
+                    .iter()
+                    .any(|c| c.colliding),
+            )
+        })
+        .sum();
+    let total_cdqs: u64 = motions
+        .iter()
+        .map(|poses| {
+            copred_collision::enumerate_motion_cdqs(&robot, &scene.env, poses).len() as u64
+        })
+        .sum();
+    for (threads, predict) in [(1usize, false), (1, true), (4, true)] {
+        let cfg = CpuExecConfig {
+            n_threads: threads,
+            with_prediction: predict,
+            cht_params: ChtParams::paper_2d(),
+            seed,
+        };
+        let out = run_cpu(&robot, &scene.env, &motions, &cfg);
+        if out.colliding_motions != truth {
+            failures.push(format!(
+                "run_cpu(threads={threads}, predict={predict}): {} colliding motions != brute-force {truth}",
+                out.colliding_motions
+            ));
+        }
+        if out.cdqs_executed > total_cdqs {
+            failures.push(format!(
+                "run_cpu(threads={threads}, predict={predict}): executed {} > total {total_cdqs}",
+                out.cdqs_executed
+            ));
+        }
+    }
+    failures
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,5 +325,11 @@ mod tests {
         p.observe(&case.cdqs[0], false);
         p.observe(&case.cdqs[0], false);
         assert!(p.duplicate.is_some());
+    }
+
+    #[test]
+    fn cpu_diff_is_clean() {
+        let failures = run_cpu_diff(17);
+        assert!(failures.is_empty(), "{failures:?}");
     }
 }

@@ -25,7 +25,9 @@
 //! The router keeps its own [`SessionLedger`] per session, accumulated
 //! from forwarded results. Unlike the backend's per-session counters it
 //! survives migration, which is what lets the conformance harness hold a
-//! migrated session's ledger against an unmigrated one.
+//! migrated session's ledger against an unmigrated one. At close the
+//! route itself — the `open` request and the last replica — is dropped;
+//! only the ledger stays.
 
 use crate::hash;
 use copred_replay::{Ledger, ReplayBackend};
@@ -67,7 +69,8 @@ struct Node {
     alive: bool,
 }
 
-/// Where a router session lives right now.
+/// Where a live router session lives right now. Dropped at close, when
+/// only its ledger is kept.
 struct Route {
     node: usize,
     remote: u64,
@@ -81,7 +84,6 @@ struct Route {
     /// warm-start source.
     replica: Option<Vec<u8>>,
     ledger: SessionLedger,
-    closed: bool,
 }
 
 /// A protocol-transparent router over N backends. Single-threaded by
@@ -90,7 +92,10 @@ struct Route {
 /// and conformance tooling drive a fleet exactly like a single node.
 pub struct Router {
     nodes: Vec<Node>,
+    /// Live sessions.
     routes: BTreeMap<u64, Route>,
+    /// The ledgers of closed sessions.
+    closed: BTreeMap<u64, SessionLedger>,
     next_id: u64,
     /// Router-local mirror of the global counters, answering fleet-wide
     /// `stats` without fanning out to backends mid-replay.
@@ -113,6 +118,7 @@ impl Router {
                 })
                 .collect(),
             routes: BTreeMap::new(),
+            closed: BTreeMap::new(),
             next_id: 0,
             metrics: Metrics::new(),
             label: "fleet".to_string(),
@@ -125,6 +131,7 @@ impl Router {
         Router {
             nodes: Vec::new(),
             routes: BTreeMap::new(),
+            closed: BTreeMap::new(),
             next_id: 0,
             metrics: Metrics::new(),
             label: "fleet".to_string(),
@@ -145,11 +152,6 @@ impl Router {
         self.nodes[node].client = None;
     }
 
-    /// Live backends.
-    pub fn alive_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive).count()
-    }
-
     /// Which backend a session currently lives on.
     pub fn node_of(&self, session: u64) -> Option<usize> {
         self.routes.get(&session).map(|r| r.node)
@@ -157,7 +159,10 @@ impl Router {
 
     /// The router's ledger for a session (kept after close).
     pub fn ledger(&self, session: u64) -> Option<&SessionLedger> {
-        self.routes.get(&session).map(|r| &r.ledger)
+        self.routes
+            .get(&session)
+            .map(|r| &r.ledger)
+            .or_else(|| self.closed.get(&session))
     }
 
     fn alive_nodes(&self) -> Vec<usize> {
@@ -369,7 +374,6 @@ impl Router {
                             fp,
                             replica: None,
                             ledger: SessionLedger::default(),
-                            closed: false,
                         },
                     );
                     self.metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
@@ -427,9 +431,10 @@ impl Router {
     }
 
     fn live_session(&self, session: u64) -> Result<(), ServiceError> {
-        match self.routes.get(&session) {
-            Some(r) if !r.closed => Ok(()),
-            _ => Err(ServiceError::NoSession(session)),
+        if self.routes.contains_key(&session) {
+            Ok(())
+        } else {
+            Err(ServiceError::NoSession(session))
         }
     }
 
@@ -510,22 +515,18 @@ impl Router {
                 let resp = self.forward(*session, |remote| Request::Close { session: remote })?;
                 if resp == Response::Closed {
                     self.metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-                    let (owner, gossip) = {
-                        let r = self.routes.get_mut(session).expect("route checked above");
-                        r.closed = true;
-                        (r.node, r.fp.zip(r.replica.clone()))
-                    };
-                    if let Some((fp, payload)) = gossip {
-                        self.gossip(owner, fp, &payload);
+                    let mut r = self.routes.remove(session).expect("route checked above");
+                    if let (Some(fp), Some(payload)) = (r.fp, r.replica.take()) {
+                        self.gossip(r.node, fp, &payload);
                     }
+                    self.closed.insert(*session, r.ledger);
                 }
                 Ok(resp)
             }
             Request::Stats { session: None } => {
                 // Answered locally: backends each hold a shard of the
                 // truth, the router saw every op.
-                let open = self.routes.values().filter(|r| !r.closed).count();
-                Ok(Response::Stats(self.metrics.stat_lines(open)))
+                Ok(Response::Stats(self.metrics.stat_lines(self.routes.len())))
             }
             Request::Stats {
                 session: Some(session),
@@ -578,16 +579,62 @@ impl ReplayBackend for Router {
     }
 
     fn ledgers(&self) -> Option<Vec<Ledger>> {
+        // Session ids count up from 0 in open order, live or closed.
         Some(
-            self.routes
-                .values()
-                .map(|r| Ledger {
-                    checks: r.ledger.checks,
-                    collisions: r.ledger.collisions,
-                    cdqs_issued: r.ledger.cdqs_issued,
-                    cdqs_total: r.ledger.cdqs_total,
+            (0..self.next_id)
+                .filter_map(|id| self.ledger(id))
+                .map(|l| Ledger {
+                    checks: l.checks,
+                    collisions: l.collisions,
+                    cdqs_issued: l.cdqs_issued,
+                    cdqs_total: l.cdqs_total,
                 })
                 .collect(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::FleetBackend;
+    use copred_replay::ReplayBackend;
+    use copred_service::protocol::{Request, Response, SchedMode};
+    use copred_trace::MotionTrace;
+
+    #[test]
+    fn a_closed_route_keeps_only_its_ledger() {
+        let mut fleet = FleetBackend::start(2).expect("start fleet");
+        let open = Request::Open {
+            robot: "planar-2d".to_string(),
+            link_count: 2,
+            mode: SchedMode::Coord,
+            seed: 3,
+            fp: Some(0xC105_ED01),
+        };
+        let Ok(Response::Session { id, .. }) = fleet.call(&open) else {
+            panic!("want session");
+        };
+        let check = Request::CheckMotion {
+            session: id,
+            motions: (0..4).map(MotionTrace::synthetic).collect(),
+            trace: None,
+        };
+        assert!(matches!(fleet.call(&check), Ok(Response::Results { .. })));
+        let router = fleet.router();
+        assert!(
+            router.routes[&id].replica.is_some(),
+            "a fingerprinted session replicates"
+        );
+        assert_eq!(
+            fleet.call(&Request::Close { session: id }),
+            Ok(Response::Closed)
+        );
+        let router = fleet.router();
+        assert!(
+            router.routes.is_empty(),
+            "no route, so no replica, survives close"
+        );
+        assert_eq!(router.ledger(id).map(|l| l.checks), Some(4));
+        assert_eq!(router.ledgers().map(|l| l.len()), Some(1));
     }
 }
