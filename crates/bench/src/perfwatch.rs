@@ -21,7 +21,7 @@ use copred_geometry::{Aabb, Vec3};
 use copred_kinematics::{presets, Config, Motion, Robot};
 use copred_obs::{BenchRecord, BenchReport, Better};
 use copred_planners::{MotionRecord, PlanLog, Stage};
-use copred_service::protocol::SchedMode;
+use copred_service::protocol::{Request, Response, SchedMode};
 use copred_service::{run_loadgen, LoadgenConfig, Pacing, Server, ServerConfig};
 use copred_swexec::{run_cpu, run_gpu_model, CpuExecConfig, GpuModelParams, MOTION_LANES};
 use copred_trace::{MotionTrace, QueryTrace};
@@ -438,6 +438,21 @@ fn service_suite(cfg: &PerfwatchConfig, out: &mut Vec<BenchRecord>) {
         "checks",
         Better::Higher,
     ));
+    let (req_bytes, resp_bytes) = wire_bytes_per_check(&log);
+    out.push(BenchRecord::deterministic(
+        "service",
+        "req_bytes_per_check",
+        req_bytes,
+        "bytes",
+        Better::Lower,
+    ));
+    out.push(BenchRecord::deterministic(
+        "service",
+        "resp_bytes_per_check",
+        resp_bytes,
+        "bytes",
+        Better::Lower,
+    ));
     out.push(BenchRecord::timing(
         "service",
         "loopback_p50_ns",
@@ -466,6 +481,26 @@ fn service_suite(cfg: &PerfwatchConfig, out: &mut Vec<BenchRecord>) {
         "checks_per_s",
         Better::Higher,
     ));
+}
+
+/// Payload bytes per check of the log's check requests and their
+/// responses, each decoded and re-encoded by the current codec: a
+/// deterministic pin on the wire format, so an encoder that writes one
+/// byte differently moves it.
+fn wire_bytes_per_check(log: &copred_replay::ReplayLog) -> (f64, f64) {
+    let (mut req, mut resp, mut checks) = (0, 0, 0);
+    for rec in &log.records {
+        let request = Request::from_text(&rec.request).expect("recorded request parses");
+        checks += match &request {
+            Request::CheckMotion { motions, .. } => motions.len(),
+            Request::CheckPose { .. } => 1,
+            _ => continue,
+        };
+        let response = Response::from_text(&rec.response).expect("recorded response parses");
+        req += request.to_text().len();
+        resp += response.to_text().len();
+    }
+    (req as f64 / checks as f64, resp as f64 / checks as f64)
 }
 
 /// Fleet suite: the committed quick service workload replayed through a

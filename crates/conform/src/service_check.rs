@@ -2,7 +2,9 @@
 //!
 //! Each chunk of up to `CHUNK` query traces becomes one unrecorded log:
 //! per trace, an `open` under that trace's mode and seed, then its
-//! motions in `check_motion` batches. [`copred_replay::run_ab`] replays
+//! motions in `check_motion` batches. One extra chunk opens a coord
+//! session that checks one trace twice, so at least one session predicts
+//! collisions its CHT has learned. [`copred_replay::run_ab`] replays
 //! the log through three arms — an in-process registry, a loopback
 //! `copred_server` with its `/metrics` listener on, and a fresh
 //! in-process `rerun` — and holds them against each other op by op and
@@ -67,17 +69,65 @@ const GLOBAL_SERIES: [(&str, &str); 4] = [
 ];
 
 /// Replays `traces` a chunk at a time; session `i` of chunk `k` opens
-/// with seed `base_seed + 1000 k + i`. Returns the ops replayed across
-/// every arm and every divergence found.
+/// with seed `base_seed + 1000 k + i`. One more chunk re-checks the trace
+/// with the most colliding motions in a coord session, twice over, so
+/// the CHT predicts collisions it has learned: without a true positive
+/// the confusion audit could not catch a miscounted one, and the stage
+/// fails. Returns the ops replayed across every arm and every divergence
+/// found.
 pub(crate) fn run_service_stage(traces: &[QueryTrace], base_seed: u64) -> (u64, Vec<String>) {
-    let mut ops = 0;
+    let mut logs: Vec<ReplayLog> = traces
+        .chunks(CHUNK)
+        .enumerate()
+        .map(|(k, chunk)| chunk_log(chunk, base_seed.wrapping_add(k as u64 * 1000)))
+        .collect();
+    // `rev` makes the first of equally colliding traces win.
+    let colliding = |t: &&QueryTrace| t.motions.iter().filter(|m| m.colliding()).count();
+    if let Some(trace) = traces.iter().rev().max_by_key(colliding) {
+        let seed = base_seed.wrapping_add(logs.len() as u64 * 1000);
+        logs.push(relearn_log(trace, seed));
+    }
+    let (mut ops, mut true_pos) = (0, 0);
     let mut failures = Vec::new();
-    for (k, chunk) in traces.chunks(CHUNK).enumerate() {
+    for (k, log) in logs.iter().enumerate() {
         let mut found = Vec::new();
-        ops += check_chunk(chunk, base_seed.wrapping_add(k as u64 * 1000), &mut found);
+        let (n, tp) = check_chunk(log, &mut found);
+        ops += n;
+        true_pos += tp;
         failures.extend(found.into_iter().map(|f| format!("chunk {k}: {f}")));
     }
+    if !logs.is_empty() && true_pos == 0 {
+        failures.push("no coord session predicted a collision it then hit (true_pos 0)".into());
+    }
     (ops, failures)
+}
+
+/// Opens session `token` on `trace`'s robot.
+fn open(token: u64, trace: &QueryTrace, mode: SchedMode, seed: u64) -> (u64, Request) {
+    let open = Request::Open {
+        robot: trace.robot_name.clone(),
+        link_count: trace.link_count,
+        mode,
+        seed,
+        fp: None,
+    };
+    (token, open)
+}
+
+/// `trace`'s motions as session `token`'s `check_motion` batches.
+fn checks(
+    token: u64,
+    trace: &QueryTrace,
+    batch: usize,
+) -> impl Iterator<Item = (u64, Request)> + '_ {
+    trace.motions.chunks(batch).map(move |batch| {
+        let check = Request::CheckMotion {
+            session: token,
+            motions: batch.to_vec(),
+            trace: None,
+        };
+        (token, check)
+    })
 }
 
 /// One session per trace under log token `i`, left open.
@@ -85,30 +135,30 @@ fn chunk_log(chunk: &[QueryTrace], seed: u64) -> ReplayLog {
     let mut ops = Vec::new();
     for (i, trace) in chunk.iter().enumerate() {
         let token = i as u64;
-        ops.push((
+        ops.push(open(
             token,
-            Request::Open {
-                robot: trace.robot_name.clone(),
-                link_count: trace.link_count,
-                mode: crate::mode_for(token),
-                seed: seed.wrapping_add(token),
-                fp: None,
-            },
+            trace,
+            crate::mode_for(token),
+            seed.wrapping_add(token),
         ));
-        ops.extend(trace.motions.chunks(1 + i % 3).map(|batch| {
-            let check = Request::CheckMotion {
-                session: token,
-                motions: batch.to_vec(),
-                trace: None,
-            };
-            (token, check)
-        }));
+        ops.extend(checks(token, trace, 1 + i % 3));
     }
     unrecorded_log(ops)
 }
 
-fn check_chunk(chunk: &[QueryTrace], seed: u64, failures: &mut Vec<String>) -> u64 {
-    let log = chunk_log(chunk, seed);
+/// One coord session that checks `trace` twice: the second pass meets
+/// the collisions the first taught its CHT.
+fn relearn_log(trace: &QueryTrace, seed: u64) -> ReplayLog {
+    let mut ops = vec![open(0, trace, SchedMode::Coord, seed)];
+    for _ in 0..2 {
+        ops.extend(checks(0, trace, 2));
+    }
+    unrecorded_log(ops)
+}
+
+/// Replays one chunk log through the three arms and audits it. Returns
+/// the ops replayed and the coord sessions' summed wire `true_pos`.
+fn check_chunk(log: &ReplayLog, failures: &mut Vec<String>) -> (u64, u64) {
     let mut wire = match LoopbackBackend::start(ServerConfig {
         workers: 2,
         queue_capacity: 64,
@@ -123,7 +173,7 @@ fn check_chunk(chunk: &[QueryTrace], seed: u64, failures: &mut Vec<String>) -> u
         Ok(b) => b,
         Err(e) => {
             failures.push(format!("server failed to start: {e}"));
-            return 0;
+            return (0, 0);
         }
     };
     let inproc_arm = || InProcessBackend::new(ChtParams::paper_2d(), CAPACITY, CSP_STEP);
@@ -146,23 +196,23 @@ fn check_chunk(chunk: &[QueryTrace], seed: u64, failures: &mut Vec<String>) -> u
             opts,
         },
     ];
-    let ab = match run_ab(Differential { log: &log, arms }) {
+    let ab = match run_ab(Differential { log, arms }) {
         Ok(ab) => ab,
         Err(e) => {
             failures.push(e.to_string());
-            return 0;
+            return (0, 0);
         }
     };
     failures.extend(ab.failures());
-    failures.extend(audit_verdicts(&log, &ab.first().out.responses));
+    failures.extend(audit_verdicts(log, &ab.first().out.responses));
 
     // Both registries number sessions from 1 in open order, so in-process
     // session `id` is loopback session `id`. `audit_session` checks that
     // rather than assuming it: a loopback session under another id
     // answers with another mode or ledger, or not at all.
-    let mut sessions = Vec::new();
+    let (mut sessions, mut true_pos) = (Vec::new(), 0);
     for (i, s) in inproc.opened().iter().enumerate() {
-        let results = session_results(&log, &ab.arms[1].out.responses, i as u64);
+        let results = session_results(log, &ab.arms[1].out.responses, i as u64);
         let local = s.metrics.stat_lines(s.mode.label(), s.shard.occupancy());
         match stats(&mut wire, Some(s.id)) {
             Ok(kv) => {
@@ -171,6 +221,9 @@ fn check_chunk(chunk: &[QueryTrace], seed: u64, failures: &mut Vec<String>) -> u
                         .into_iter()
                         .map(|f| format!("session {}: {f}", s.id)),
                 );
+                if s.mode == SchedMode::Coord {
+                    true_pos += stat_u64(&kv, "true_pos").unwrap_or(0);
+                }
                 sessions.push((s.id, kv));
             }
             Err(e) => failures.push(format!("session {}: {e}", s.id)),
@@ -214,7 +267,7 @@ fn check_chunk(chunk: &[QueryTrace], seed: u64, failures: &mut Vec<String>) -> u
         )),
         Err(e) => failures.push(e),
     }
-    ab.ops()
+    (ab.ops(), true_pos)
 }
 
 /// A `stats` reply from the loopback arm.

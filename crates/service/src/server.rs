@@ -11,9 +11,9 @@
 
 use crate::metrics::Metrics;
 use crate::prom::render_prometheus;
-use crate::protocol::{CheckResult, Request, Response, SchedMode, ServiceError};
-use crate::session::{ChtPredictor, SessionRegistry, SessionState, TimedPredictor};
-use copred_collision::{run_predicted_schedule, run_schedule, Schedule};
+use crate::protocol::{CheckResult, Request, Response, ServiceError};
+use crate::session::{execute_batch, SessionRegistry, SessionState};
+use copred_collision::Schedule;
 use copred_core::ChtParams;
 use copred_obs::{stage, Stage, TraceId, TraceScope};
 use copred_trace::frame::{read_text_frame, write_text_frame};
@@ -737,7 +737,17 @@ fn worker_loop(shared: &Shared) {
         // The worker adopts the request's trace for the batch: every span
         // and flight entry below carries it.
         let _trace_scope = TraceScope::enter(job.trace);
-        let results = run_batch(&job.session, &job.motions, shared);
+        let results = execute_batch(&job.session, &job.motions, shared.config.csp_step);
+        let gm = &shared.metrics;
+        gm.checks.fetch_add(results.len() as u64, Ordering::Relaxed);
+        gm.cdqs_issued.fetch_add(
+            results.iter().map(|r| r.cdqs_executed).sum(),
+            Ordering::Relaxed,
+        );
+        gm.cdqs_total.fetch_add(
+            results.iter().map(|r| r.cdqs_total).sum(),
+            Ordering::Relaxed,
+        );
         job.session.pending.fetch_sub(1, Ordering::AcqRel);
         let ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
         shared
@@ -752,89 +762,4 @@ fn worker_loop(shared: &Shared) {
         // The connection may have vanished; the work still counted.
         let _ = job.reply.send(results);
     }
-}
-
-fn run_batch(session: &SessionState, motions: &[MotionTrace], shared: &Shared) -> Vec<CheckResult> {
-    motions
-        .iter()
-        .map(|m| {
-            let schedule_span = copred_obs::span("service", "schedule");
-            let schedule_stage = stage(Stage::Schedule);
-            let infos = m.to_cdq_infos();
-            drop(schedule_stage);
-            drop(schedule_span);
-            let execute_span = copred_obs::span("service", "execute");
-            let execute_stage = stage(Stage::Execute);
-            let out = match session.mode {
-                SchedMode::Coord => {
-                    let mut pred = ChtPredictor::new(session, &m.poses);
-                    {
-                        // Priming is the bulk of the predictor's CHT-read
-                        // work: publish it as execute→predict so stage
-                        // fractions separate prediction from execution.
-                        let _predict_stage = stage(Stage::Predict);
-                        pred.prime(&infos);
-                    }
-                    if copred_obs::enabled() {
-                        // Wrapping the predictor keeps the inner call
-                        // sequence identical to the untimed path, so
-                        // results stay bit-identical while the accumulated
-                        // predictor time becomes a "predict" span nested
-                        // in "execute".
-                        let mut timed = TimedPredictor::new(&mut pred);
-                        let out = run_predicted_schedule(
-                            &infos,
-                            m.poses.len(),
-                            shared.config.csp_step,
-                            &mut timed,
-                        );
-                        copred_obs::span_at(
-                            "service",
-                            "predict",
-                            execute_span.start_ns(),
-                            timed.predict_ns() + timed.observe_ns(),
-                        );
-                        out
-                    } else {
-                        run_predicted_schedule(
-                            &infos,
-                            m.poses.len(),
-                            shared.config.csp_step,
-                            &mut pred,
-                        )
-                    }
-                }
-                SchedMode::Naive => run_schedule(&infos, m.poses.len(), Schedule::Naive),
-                SchedMode::Csp => run_schedule(
-                    &infos,
-                    m.poses.len(),
-                    Schedule::Csp {
-                        step: shared.config.csp_step,
-                    },
-                ),
-            };
-            drop(execute_stage);
-            drop(execute_span);
-            let sm = &session.metrics;
-            sm.checks.fetch_add(1, Ordering::Relaxed);
-            sm.cdqs_issued
-                .fetch_add(out.cdqs_executed as u64, Ordering::Relaxed);
-            sm.cdqs_total
-                .fetch_add(out.cdqs_total as u64, Ordering::Relaxed);
-            sm.collisions
-                .fetch_add(u64::from(out.colliding), Ordering::Relaxed);
-            let gm = &shared.metrics;
-            gm.checks.fetch_add(1, Ordering::Relaxed);
-            gm.cdqs_issued
-                .fetch_add(out.cdqs_executed as u64, Ordering::Relaxed);
-            gm.cdqs_total
-                .fetch_add(out.cdqs_total as u64, Ordering::Relaxed);
-            CheckResult {
-                colliding: out.colliding,
-                cdqs_executed: out.cdqs_executed as u64,
-                cdqs_total: out.cdqs_total as u64,
-                obstacle_tests: out.obstacle_tests as u64,
-            }
-        })
-        .collect()
 }

@@ -14,6 +14,7 @@ use crate::protocol::{CheckResult, SchedMode, ServiceError};
 use copred_collision::{run_predicted_schedule, run_schedule, CdqInfo, CdqPredictor, Schedule};
 use copred_core::{ChtParams, CollisionHash, CoordHash, HashInput};
 use copred_kinematics::{presets, Config, Robot};
+use copred_obs::{stage, Stage};
 use copred_store::{SessionStore, StoreRegistry, StoreStats, TableImage};
 use copred_swexec::ConcurrentCht;
 use std::collections::HashMap;
@@ -301,12 +302,18 @@ impl<P: CdqPredictor> CdqPredictor for TimedPredictor<'_, P> {
     }
 }
 
-/// Executes one motion-check batch against a session exactly as the
-/// server's worker pool does — the canonical batch semantics shared by the
-/// TCP worker, the conformance harness, and the replay engine. Schedules
-/// each motion per the session's [`SchedMode`], updates the session's
-/// metrics (including the confusion ledger via [`ChtPredictor`] observes),
-/// and returns the wire-visible [`CheckResult`]s in motion order.
+/// Executes one motion-check batch against a session: the one batch
+/// implementation, shared by the TCP worker pool, the conformance harness
+/// and the replay engine. Schedules each motion per the session's
+/// [`SchedMode`], updates the session's metrics (including the confusion
+/// ledger via [`ChtPredictor`] observes), and returns the wire-visible
+/// [`CheckResult`]s in motion order.
+///
+/// Each motion publishes `schedule` and `execute` spans and profiler
+/// stages, with priming as `execute`→`predict`. When the span recorder
+/// is on, the predictor runs inside a [`TimedPredictor`] whose time
+/// becomes a `predict` span; the inner call sequence is the same either
+/// way, so results are bit-identical.
 pub fn execute_batch(
     session: &SessionState,
     motions: &[copred_trace::MotionTrace],
@@ -315,18 +322,42 @@ pub fn execute_batch(
     motions
         .iter()
         .map(|m| {
+            let schedule_span = copred_obs::span("service", "schedule");
+            let schedule_stage = stage(Stage::Schedule);
             let infos = m.to_cdq_infos();
+            drop(schedule_stage);
+            drop(schedule_span);
+            let execute_span = copred_obs::span("service", "execute");
+            let execute_stage = stage(Stage::Execute);
             let out = match session.mode {
                 SchedMode::Coord => {
                     let mut pred = ChtPredictor::new(session, &m.poses);
-                    pred.prime(&infos);
-                    run_predicted_schedule(&infos, m.poses.len(), csp_step, &mut pred)
+                    {
+                        let _predict_stage = stage(Stage::Predict);
+                        pred.prime(&infos);
+                    }
+                    if copred_obs::enabled() {
+                        let mut timed = TimedPredictor::new(&mut pred);
+                        let out =
+                            run_predicted_schedule(&infos, m.poses.len(), csp_step, &mut timed);
+                        copred_obs::span_at(
+                            "service",
+                            "predict",
+                            execute_span.start_ns(),
+                            timed.predict_ns() + timed.observe_ns(),
+                        );
+                        out
+                    } else {
+                        run_predicted_schedule(&infos, m.poses.len(), csp_step, &mut pred)
+                    }
                 }
                 SchedMode::Naive => run_schedule(&infos, m.poses.len(), Schedule::Naive),
                 SchedMode::Csp => {
                     run_schedule(&infos, m.poses.len(), Schedule::Csp { step: csp_step })
                 }
             };
+            drop(execute_stage);
+            drop(execute_span);
             let sm = &session.metrics;
             sm.checks.fetch_add(1, Ordering::Relaxed);
             sm.cdqs_issued

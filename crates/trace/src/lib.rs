@@ -8,7 +8,11 @@
 //! narrow-phase collision detection.
 //!
 //! Traces serialize to a line-oriented text format (dependency-free) so
-//! suites can be generated once and replayed by many harnesses.
+//! suites can be generated once and replayed by many harnesses. Every
+//! pose value and CDQ center coordinate is written as `{:.17e}` (18
+//! significant digits, so it parses back bit-exact) by `sci::push_e17`,
+//! which writes std's bytes at a fraction of `core::fmt`'s cost; the
+//! service wire carries the same `motion` blocks.
 //!
 //! ## Example
 //!
@@ -47,6 +51,7 @@ use std::fmt::Write as _;
 pub use copred_planners::Stage;
 
 pub mod frame;
+mod sci;
 
 /// Hard cap applied to *declared* counts (`motion <stage> <poses> <cdqs>`)
 /// before any allocation, so a malformed or hostile header cannot request
@@ -135,7 +140,9 @@ impl MotionTrace {
         out
     }
 
-    /// Appends this motion's `motion` block to `out`.
+    /// Appends this motion's `motion` block to `out`: the header line,
+    /// one `pose` line per sample pose and one `cdq` line per CDQ, with
+    /// each float written by `sci::push_e17`.
     pub fn write_text(&self, out: &mut String) {
         writeln!(
             out,
@@ -146,25 +153,20 @@ impl MotionTrace {
         )
         .expect("string write");
         for p in &self.poses {
-            write!(out, "pose").expect("string write");
-            for v in p.values() {
-                write!(out, " {v:.17e}").expect("string write");
+            out.push_str("pose");
+            for &v in p.values() {
+                out.push(' ');
+                sci::push_e17(out, v);
             }
-            writeln!(out).expect("string write");
+            out.push('\n');
         }
         for c in &self.cdqs {
-            writeln!(
-                out,
-                "cdq {} {} {:.17e} {:.17e} {:.17e} {} {}",
-                c.pose_idx,
-                c.link_idx,
-                c.center.x,
-                c.center.y,
-                c.center.z,
-                u8::from(c.colliding),
-                c.obstacle_tests
-            )
-            .expect("string write");
+            write!(out, "cdq {} {}", c.pose_idx, c.link_idx).expect("string write");
+            for v in [c.center.x, c.center.y, c.center.z] {
+                out.push(' ');
+                sci::push_e17(out, v);
+            }
+            writeln!(out, " {} {}", u8::from(c.colliding), c.obstacle_tests).expect("string write");
         }
     }
 
