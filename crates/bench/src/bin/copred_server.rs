@@ -3,8 +3,8 @@
 //! ```text
 //! copred_server [key=value ...]
 //!   addr=127.0.0.1:7457   bind address (port 0 = OS-assigned)
-//!   workers=4             worker threads (at least 1)
-//!   queue=128             global queue capacity (batches)
+//!   workers=4             check batches executing at once (at least 1)
+//!   queue=128             check batches waiting for a slot
 //!   session_queue=32      per-session pending cap
 //!   max_sessions=64       session slots, the most sessions open at once
 //!   csp_step=5            CSP stride for the schedulers

@@ -66,11 +66,6 @@ impl<S> FaultyStream<S> {
             max_read: None,
         }
     }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: Read> Read for FaultyStream<S> {
@@ -279,7 +274,7 @@ pub fn run_fault_scenarios(addr: SocketAddr) -> (u64, Vec<String>) {
     run("mid-batch-disconnect", &mut || {
         // Open a session, then tear the connection mid-payload of a check
         // batch. The session must remain closable from another connection
-        // and the worker pool must not wedge.
+        // and the server must keep admitting checks.
         let mut client = ServiceClient::connect(addr).map_err(|e| e.to_string())?;
         let id = client
             .open("planar-2d", 1, SchedMode::Coord, 13)

@@ -81,11 +81,6 @@ impl Predictor {
         &self.cht
     }
 
-    /// Mutable access to the history table (for instrumentation).
-    pub fn cht_mut(&mut self) -> &mut Cht {
-        &mut self.cht
-    }
-
     /// Predicts whether a CDQ will collide.
     pub fn predict(&mut self, input: &HashInput<'_>) -> bool {
         let code = self.hasher.code(input);

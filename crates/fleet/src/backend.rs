@@ -137,11 +137,6 @@ impl FleetBackend {
         &self.router
     }
 
-    /// Mutable router access (ledgers, manual calls).
-    pub fn router_mut(&mut self) -> &mut Router {
-        &mut self.router
-    }
-
     /// Dissolves the backend into its router plus the servers keeping it
     /// answerable. For long-running fronts (`copred_fleet up`) that hand
     /// the router to connection threads: the caller must hold the

@@ -33,7 +33,7 @@ use copred_trace::frame::{read_text_frame, write_text_frame};
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Serves the wire protocol on `listener`, answering every frame through
 /// the shared router. Parse failures answer `err bad_request` on the
@@ -69,7 +69,11 @@ fn handle_conn(stream: TcpStream, router: &Mutex<Router>) {
         };
         let response = match Request::from_text(&payload) {
             Err(reason) => Response::Error(ServiceError::BadRequest(reason)),
-            Ok(req) => match router.lock().expect("router lock").call(&req) {
+            Ok(req) => match router
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .call(&req)
+            {
                 Ok(resp) => resp,
                 Err(reason) => Response::Error(ServiceError::Busy(format!("fleet: {reason}"))),
             },

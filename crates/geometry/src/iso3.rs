@@ -87,12 +87,6 @@ impl Iso3 {
         self.rot * p + self.trans
     }
 
-    /// Applies only the rotation part (for directions).
-    #[inline]
-    pub fn apply_vec(&self, v: Vec3) -> Vec3 {
-        self.rot * v
-    }
-
     /// The inverse transform.
     pub fn inverse(&self) -> Iso3 {
         let rt = self.rot.transpose();

@@ -44,7 +44,7 @@ pub trait ReplayBackend {
 }
 
 /// Replays against an in-process [`SessionRegistry`], executing batches
-/// with the same [`execute_batch`] semantics as the server's worker pool
+/// with the same [`execute_batch`] the server's connection threads run
 /// — minus the wire. Keeps an [`Arc`] to every session it opens (even
 /// after close) so callers can audit the full per-session metrics ledger
 /// afterwards.

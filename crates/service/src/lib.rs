@@ -5,9 +5,10 @@
 //! many planners can share one accelerator-style backend. Each planning
 //! query opens a *session* that leases a private
 //! [`copred_swexec::ConcurrentCht`] from the registry's fixed set of slots;
-//! motion-check batches are dispatched through a bounded worker
-//! pool running the predictor-ordered scheduler
-//! ([`copred_collision::run_predicted_schedule`], the paper's Algorithm 1).
+//! motion-check batches run on the connection thread that read them,
+//! behind one bounded FIFO admission gate, through the predictor-ordered
+//! scheduler ([`copred_collision::run_predicted_schedule`], the paper's
+//! Algorithm 1).
 //!
 //! Layers, bottom-up:
 //!
@@ -20,8 +21,8 @@
 //!   serves it on `GET /metrics` when configured with a metrics address.
 //! - [`session`] — the session registry: shard leasing, LRU eviction,
 //!   per-session bounded queues.
-//! - [`server`] — accept loop, per-connection readers, worker pool with
-//!   explicit backpressure (`err retry_after`).
+//! - [`server`] — accept loop, per-connection handlers, and the FIFO
+//!   admission gate with explicit backpressure (`err retry_after`).
 //! - [`client`] — a small blocking client used by tests and the load
 //!   generator.
 //! - [`loadgen`] — closed-/open-loop load generation over captured

@@ -2,8 +2,9 @@
 //! per-session prediction-quality numbers the paper reports (precision and
 //! recall of the CHT, CDQs issued versus saved).
 //!
-//! Everything here is atomics so the hot path — worker threads recording a
-//! batch — never takes a lock; the STATS verb reads a relaxed snapshot.
+//! Everything here is atomics so the hot path — connection threads
+//! recording a batch — never takes a lock; the STATS verb reads a
+//! relaxed snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

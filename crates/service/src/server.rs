@@ -1,29 +1,28 @@
-//! The TCP server: accept loop, per-connection readers, and a bounded
-//! worker pool with explicit backpressure.
+//! The TCP server: accept loop and per-connection handlers, with check
+//! batches admitted through one FIFO gate with explicit backpressure.
 //!
-//! Check batches are not executed on the connection thread: they are
-//! enqueued on a bounded global queue and drained by `workers` threads
-//! running the predictor-ordered scheduler. Two bounds protect the pool —
-//! a per-session pending cap (one planner flooding its session cannot
-//! starve the rest) and the global queue capacity. Hitting either bound
-//! returns `err retry_after <ms>` immediately instead of stalling or
-//! dropping the connection: load shedding is part of the protocol.
+//! Each connection thread decodes its request and runs its own check
+//! batches, so a check never crosses threads. Two bounds protect the
+//! server — a per-session pending cap (one planner flooding its session
+//! cannot starve the rest) and the gate: at most `workers` batches
+//! execute at once and at most `queue_capacity` more wait for a slot, in
+//! arrival order. Hitting either bound returns `err retry_after <ms>`
+//! immediately instead of stalling or dropping the connection: load
+//! shedding is part of the protocol.
 
 use crate::metrics::Metrics;
 use crate::prom::render_prometheus;
-use crate::protocol::{CheckResult, Request, Response, ServiceError};
+use crate::protocol::{Request, Response, ServiceError};
 use crate::session::{execute_batch, SessionRegistry, SessionState};
 use copred_collision::Schedule;
 use copred_core::ChtParams;
 use copred_obs::{stage, Stage, TraceId, TraceScope};
 use copred_trace::frame::{read_text_frame, write_text_frame};
 use copred_trace::MotionTrace;
-use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -32,11 +31,12 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (tests).
     pub addr: String,
-    /// Worker threads draining the check queue.
+    /// Check batches executing at once (at least 1).
     pub workers: usize,
-    /// Global bounded-queue capacity (jobs, i.e. batches).
+    /// Check batches waiting for an execution slot before the server
+    /// answers `retry_after`.
     pub queue_capacity: usize,
-    /// Max jobs queued or executing per session before backpressure.
+    /// Max batches waiting or executing per session before backpressure.
     pub session_queue_cap: usize,
     /// Session slots: the most sessions open at once (at least 1).
     pub max_sessions: usize,
@@ -46,8 +46,9 @@ pub struct ServerConfig {
     pub csp_step: usize,
     /// Suggested client back-off carried in `retry_after` responses.
     pub retry_after_ms: u64,
-    /// Test hook: artificial per-job delay in the workers, used to force
-    /// queue overflow deterministically. 0 in production.
+    /// Test hook: artificial per-batch delay while holding an execution
+    /// slot, used to force queue overflow deterministically. 0 in
+    /// production.
     pub worker_delay_ms: u64,
     /// When set, serve Prometheus text exposition on `GET /metrics` at
     /// this address (plain HTTP, port 0 allowed). `None` disables the
@@ -67,9 +68,10 @@ pub struct ServerConfig {
     /// auto-dumps.
     pub flight_threshold_ms: u64,
     /// Run the continuous-profiling sampler thread (`copred-profiler`).
-    /// Stage frames are published by workers either way — this only
-    /// controls whether anything reads them. The `ab=1` loadgen harness
-    /// turns it off on the baseline arm to measure sampler overhead.
+    /// Stage frames are published by connection threads either way —
+    /// this only controls whether anything reads them. The `ab=1`
+    /// loadgen harness turns it off on the baseline arm to measure
+    /// sampler overhead.
     pub profile_sampler: bool,
 }
 
@@ -94,80 +96,88 @@ impl Default for ServerConfig {
     }
 }
 
-/// One enqueued check batch.
-struct Job {
-    session: Arc<SessionState>,
-    motions: Vec<MotionTrace>,
-    reply: SyncSender<Vec<CheckResult>>,
-    enqueued: Instant,
-    /// Causal trace id carried by the request (restored as the worker's
-    /// current trace while the batch runs).
-    trace: Option<TraceId>,
-}
-
-/// Bounded MPMC queue: `Mutex<VecDeque>` + `Condvar`, rejecting (never
-/// blocking) on overflow so producers can translate fullness into
+/// FIFO admission for check batches: a ticket pair `(issued, finished)`
+/// plus a condvar. Ticket `t` runs once `t < finished + workers`, so at
+/// most `workers` batches execute at once and waiting batches start in
+/// arrival order; a batch arriving with `workers + capacity` already
+/// admitted is refused instead of blocking, so fullness can become
 /// protocol-level backpressure.
-struct JobQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    capacity: usize,
-    shutdown: AtomicBool,
+struct Gate {
+    tickets: Mutex<(u64, u64)>,
+    turn: Condvar,
+    workers: u64,
+    capacity: u64,
 }
 
-impl JobQueue {
-    fn new(capacity: usize) -> Self {
-        JobQueue {
-            jobs: Mutex::new(VecDeque::with_capacity(capacity)),
-            ready: Condvar::new(),
-            capacity,
-            shutdown: AtomicBool::new(false),
+/// An admitted batch's execution slot; dropping it (panic included)
+/// finishes the ticket and lets the next one in.
+struct Slot<'a>(&'a Gate);
+
+impl Gate {
+    fn new(workers: usize, capacity: usize) -> Self {
+        Gate {
+            tickets: Mutex::new((0, 0)),
+            turn: Condvar::new(),
+            workers: workers as u64,
+            capacity: capacity as u64,
         }
     }
 
-    /// Enqueues without blocking; hands the job back when full.
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut q = self.jobs.lock().expect("queue lock");
-        if q.len() >= self.capacity {
-            return Err(job);
-        }
-        q.push_back(job);
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
+    fn lock(&self) -> MutexGuard<'_, (u64, u64)> {
+        self.tickets.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks for the next job; `None` means shutdown.
-    fn pop(&self) -> Option<Job> {
-        let mut q = self.jobs.lock().expect("queue lock");
-        loop {
-            if let Some(job) = q.pop_front() {
-                return Some(job);
+    /// Takes the next ticket and blocks until it may run, publishing the
+    /// wait as a `queue_wait` stage; `None` when the gate is full.
+    fn enter(&self) -> Option<Slot<'_>> {
+        let mut t = self.lock();
+        let ticket = t.0;
+        if ticket - t.1 >= self.workers + self.capacity {
+            return None;
+        }
+        t.0 += 1;
+        if ticket >= t.1 + self.workers {
+            let _wait = stage(Stage::QueueWait);
+            while ticket >= t.1 + self.workers {
+                t = self.turn.wait(t).unwrap_or_else(PoisonError::into_inner);
             }
-            if self.shutdown.load(Ordering::Acquire) {
-                return None;
-            }
-            q = self.ready.wait(q).expect("queue wait");
         }
+        Some(Slot(self))
     }
 
-    /// Jobs currently waiting (excludes executing ones).
-    fn len(&self) -> usize {
-        self.jobs.lock().expect("queue lock").len()
-    }
-
-    fn close(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.ready.notify_all();
+    /// Batches admitted but still waiting for a slot.
+    fn waiting(&self) -> usize {
+        let (issued, finished) = *self.lock();
+        (issued - finished).saturating_sub(self.workers) as usize
     }
 }
 
-/// State shared by the accept loop, connection handlers, and workers.
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.lock().1 += 1;
+        self.0.turn.notify_all();
+    }
+}
+
+/// Holds one unit of a session's `pending` count; returned on drop, so a
+/// panicking batch cannot leave its session looking busy forever.
+struct Pending<'a>(&'a SessionState);
+
+impl Drop for Pending<'_> {
+    fn drop(&mut self) {
+        self.0.pending.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// State shared by the accept loop and connection handlers.
 struct Shared {
     registry: SessionRegistry,
     metrics: Metrics,
-    queue: JobQueue,
+    gate: Gate,
     config: ServerConfig,
+    /// Set by [`Server::shutdown`]: the accept loop exits and every later
+    /// check is answered `busy` instead of admitted.
+    stopping: AtomicBool,
     /// Monotonic dump file counter (`flight-<n>.json` / `trace-<n>.json`).
     dump_seq: AtomicU64,
     /// Milliseconds since `started` of the last auto-dump plus one
@@ -244,7 +254,7 @@ fn render_shared(shared: &Shared) -> String {
     render_prometheus(
         &shared.metrics,
         &shared.registry.sessions_snapshot(),
-        shared.queue.len(),
+        shared.gate.waiting(),
         &shared.registry.store_stats(),
         &current_profile(shared).snapshot(),
     )
@@ -254,14 +264,12 @@ fn render_shared(shared: &Shared) -> String {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    stopping: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
     metrics_server: Option<copred_obs::MetricsServer>,
 }
 
 impl Server {
-    /// Binds, spawns the accept loop and worker pool, and returns.
+    /// Binds, spawns the accept loop, and returns.
     ///
     /// # Errors
     ///
@@ -292,7 +300,8 @@ impl Server {
                 store,
             ),
             metrics: Metrics::new(),
-            queue: JobQueue::new(config.queue_capacity),
+            gate: Gate::new(config.workers, config.queue_capacity),
+            stopping: AtomicBool::new(false),
             dump_seq: AtomicU64::new(0),
             last_auto_dump_ms: AtomicU64::new(0),
             started: Instant::now(),
@@ -301,9 +310,7 @@ impl Server {
                 .then(|| copred_obs::Sampler::start(copred_obs::DEFAULT_SAMPLE_INTERVAL)),
             config,
         });
-        let stopping = Arc::new(AtomicBool::new(false));
-
-        // Bind the metrics endpoint before spawning workers so a bad
+        // Bind the metrics endpoint before spawning the accept loop so a bad
         // metrics address fails the whole start cleanly.
         let metrics_server = match shared.config.metrics_addr.clone() {
             Some(addr) => {
@@ -337,31 +344,18 @@ impl Server {
             None => None,
         };
 
-        let worker_handles = (0..shared.config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("copred-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
-
         let accept_handle = {
             let shared = Arc::clone(&shared);
-            let stopping = Arc::clone(&stopping);
             thread::Builder::new()
                 .name("copred-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &stopping))
+                .spawn(move || accept_loop(&listener, &shared))
                 .expect("spawn accept loop")
         };
 
         Ok(Server {
             shared,
             local_addr,
-            stopping,
             accept_handle: Some(accept_handle),
-            worker_handles,
             metrics_server,
         })
     }
@@ -394,19 +388,17 @@ impl Server {
         current_profile(&self.shared)
     }
 
-    /// Stops accepting, drains the workers, and joins them. Connection
-    /// handler threads exit when their peers disconnect.
+    /// Stops accepting and joins the accept loop. Connections still open
+    /// keep being served, except that every later check is answered
+    /// `err busy server shutting down`; batches already admitted finish.
+    /// Connection handler threads exit when their peers disconnect.
     pub fn shutdown(&mut self) {
-        if self.stopping.swap(true, Ordering::AcqRel) {
+        if self.shared.stopping.swap(true, Ordering::AcqRel) {
             return;
         }
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        self.shared.queue.close();
-        for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
         if let Some(mut m) = self.metrics_server.take() {
@@ -421,11 +413,11 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stopping: &Arc<AtomicBool>) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
-                if stopping.load(Ordering::Acquire) {
+                if shared.stopping.load(Ordering::Acquire) {
                     return;
                 }
                 let shared = Arc::clone(shared);
@@ -433,7 +425,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stopping: &Arc<Atom
                     .name("copred-conn".to_string())
                     .spawn(move || handle_connection(stream, &shared));
             }
-            Err(_) if stopping.load(Ordering::Acquire) => return,
+            Err(_) if shared.stopping.load(Ordering::Acquire) => return,
             Err(_) => continue,
         }
     }
@@ -537,12 +529,12 @@ fn dispatch(req: Request, shared: &Shared) -> Response {
             session,
             motions,
             trace,
-        } => enqueue_checks(session, motions, trace, shared),
+        } => run_checks(session, motions, trace, shared),
         Request::CheckPose {
             session,
             motion,
             trace,
-        } => enqueue_checks(session, vec![motion], trace, shared),
+        } => run_checks(session, vec![motion], trace, shared),
         Request::Dump => {
             let entries = dump_flight(shared, false);
             copred_obs::flight_op("dump", entries, 0);
@@ -670,14 +662,17 @@ fn receive_snap_push(shared: &Shared, fp: u64, version: u32, crc: u32, payload: 
     }
 }
 
-/// Applies both backpressure bounds, enqueues, and blocks this connection
-/// thread (only) until the worker replies.
-fn enqueue_checks(
+/// Applies both backpressure bounds, waits for an execution slot, and
+/// runs the batch on this connection thread.
+fn run_checks(
     session_id: u64,
     motions: Vec<MotionTrace>,
     trace: Option<TraceId>,
     shared: &Shared,
 ) -> Response {
+    if shared.stopping.load(Ordering::Acquire) {
+        return Response::Error(ServiceError::Busy("server shutting down".into()));
+    }
     let session = match shared.registry.get(session_id) {
         Ok(s) => s,
         Err(e) => return Response::Error(e),
@@ -690,76 +685,186 @@ fn enqueue_checks(
         })
     };
     // Per-session bound first: a flooding session is rejected before it
-    // can take global queue slots from the others.
+    // can take global gate slots from the others.
     let prev = session.pending.fetch_add(1, Ordering::AcqRel);
+    let pending = Pending(&session);
     if prev >= shared.config.session_queue_cap {
-        session.pending.fetch_sub(1, Ordering::AcqRel);
         return retry("session queue full");
     }
-    let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-    let job = Job {
-        session: Arc::clone(&session),
-        motions,
-        reply: reply_tx,
-        enqueued: Instant::now(),
-        trace,
-    };
-    if shared.queue.try_push(job).is_err() {
-        session.pending.fetch_sub(1, Ordering::AcqRel);
+    let admitted = Instant::now();
+    let Some(slot) = shared.gate.enter() else {
         return retry("server queue full");
+    };
+    if copred_obs::enabled() {
+        copred_obs::counter("service", "queue_depth", shared.gate.waiting() as u64);
     }
-    match reply_rx.recv() {
-        // The echo mirrors the request token exactly: absent stays absent,
-        // so untraced responses keep the legacy wire bytes.
-        Ok(results) => Response::Results { results, trace },
-        // Worker pool shut down mid-request.
-        Err(_) => Response::Error(ServiceError::Busy("server shutting down".into())),
+    if shared.config.worker_delay_ms > 0 {
+        thread::sleep(Duration::from_millis(shared.config.worker_delay_ms));
     }
+    let results = execute_batch(&session, &motions, shared.config.csp_step);
+    drop(slot);
+    drop(pending);
+    let gm = &shared.metrics;
+    gm.checks.fetch_add(results.len() as u64, Ordering::Relaxed);
+    gm.cdqs_issued.fetch_add(
+        results.iter().map(|r| r.cdqs_executed).sum(),
+        Ordering::Relaxed,
+    );
+    gm.cdqs_total.fetch_add(
+        results.iter().map(|r| r.cdqs_total).sum(),
+        Ordering::Relaxed,
+    );
+    let ns = u64::try_from(admitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    gm.check_latency
+        .record_traced(ns, trace.map_or(0, |t| t.raw()));
+    copred_obs::flight_op("check", motions.len() as u64, ns);
+    let threshold = shared.config.flight_threshold_ms;
+    if threshold > 0 && ns > threshold.saturating_mul(1_000_000) {
+        maybe_auto_dump(shared);
+    }
+    // The echo mirrors the request token exactly: absent stays absent,
+    // so untraced responses keep the legacy wire bytes.
+    Response::Results { results, trace }
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        // Blocking on the queue is published as a queue_wait frame so the
-        // profiler can separate waiting-for-work from doing it.
-        let job = {
-            let _wait = stage(Stage::QueueWait);
-            match shared.queue.pop() {
-                Some(job) => job,
-                None => return,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::SchedMode;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Spins until `issued` reaches `n`, i.e. `n` tickets have been taken.
+    fn wait_issued(gate: &Gate, n: u64) {
+        while gate.lock().0 < n {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn gate_runs_at_most_workers_batches_at_once() {
+        let gate = Gate::new(2, 64);
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..20 {
+                        let _slot = gate.enter().expect("8 contenders fit 2 + 64");
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        thread::sleep(Duration::from_micros(100));
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    }
+                });
             }
+        });
+        assert!(
+            peak.load(Ordering::SeqCst) <= 2,
+            "more than 2 batches ran at once"
+        );
+        assert_eq!(*gate.lock(), (160, 160), "every ticket finished");
+    }
+
+    #[test]
+    fn gate_admits_tickets_in_arrival_order() {
+        let gate = Gate::new(1, 16);
+        let order = Mutex::new(Vec::new());
+        let held = gate.enter().expect("first ticket");
+        thread::scope(|scope| {
+            for k in 0..5u64 {
+                let (gate, order) = (&gate, &order);
+                scope.spawn(move || {
+                    let _slot = gate.enter().expect("queue has room");
+                    order.lock().unwrap().push(k);
+                });
+                // Ticket k + 1 is taken before the next thread starts.
+                wait_issued(gate, k + 2);
+            }
+            assert_eq!(gate.waiting(), 5);
+            drop(held);
+        });
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(gate.waiting(), 0);
+    }
+
+    #[test]
+    fn gate_refuses_entry_beyond_workers_plus_capacity() {
+        let gate = Gate::new(2, 3);
+        let a = gate.enter().expect("slot 1");
+        let b = gate.enter().expect("slot 2");
+        thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| drop(gate.enter().expect("queue has room")));
+            }
+            wait_issued(&gate, 5);
+            assert_eq!(gate.waiting(), 3);
+            assert!(
+                gate.enter().is_none(),
+                "6th concurrent entry must be refused"
+            );
+            drop((a, b));
+        });
+        assert_eq!(*gate.lock(), (5, 5), "a refused entry takes no ticket");
+    }
+
+    #[test]
+    fn panicking_holder_returns_its_slot_and_pending_count() {
+        // Capacity 0: a leaked slot would make a later `enter` refuse
+        // instead of block, so a regression fails rather than hangs.
+        let gate = Gate::new(2, 0);
+        let registry = SessionRegistry::new(ChtParams::paper_2d(), 1);
+        let (session, _) = registry.open("planar-2d", SchedMode::Coord, 1).unwrap();
+        for _ in 0..2 {
+            let joined = thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        session.pending.fetch_add(1, Ordering::AcqRel);
+                        let _pending = Pending(&session);
+                        let _slot = gate.enter().expect("free slot");
+                        panic!("batch panicked");
+                    })
+                    .join()
+            });
+            assert!(joined.is_err());
+        }
+        assert_eq!(session.pending.load(Ordering::Acquire), 0);
+        let slots = (gate.enter(), gate.enter());
+        assert!(
+            slots.0.is_some() && slots.1.is_some(),
+            "both slots came back"
+        );
+    }
+
+    #[test]
+    fn checks_after_shutdown_are_answered_busy() {
+        let mut server = Server::start(ServerConfig::default()).expect("start server");
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        let mut call = |req: &str| {
+            write_text_frame(&mut writer, req).expect("send");
+            read_text_frame(&mut reader)
+                .expect("reply before the read timeout")
+                .expect("connection open")
         };
-        if copred_obs::enabled() {
-            copred_obs::counter("service", "queue_depth", shared.queue.len() as u64);
-        }
-        if shared.config.worker_delay_ms > 0 {
-            thread::sleep(Duration::from_millis(shared.config.worker_delay_ms));
-        }
-        // The worker adopts the request's trace for the batch: every span
-        // and flight entry below carries it.
-        let _trace_scope = TraceScope::enter(job.trace);
-        let results = execute_batch(&job.session, &job.motions, shared.config.csp_step);
-        let gm = &shared.metrics;
-        gm.checks.fetch_add(results.len() as u64, Ordering::Relaxed);
-        gm.cdqs_issued.fetch_add(
-            results.iter().map(|r| r.cdqs_executed).sum(),
-            Ordering::Relaxed,
+        let opened = call("open planar-2d 2 coord 5");
+        let id = opened
+            .strip_prefix("ok session ")
+            .and_then(|rest| rest.split_whitespace().next())
+            .expect("session id");
+        let check = format!(
+            "check_motion {id} 1\nmotion S1 2 2\npose 0.0 0.0\npose 1.0 1.0\n\
+             cdq 0 0 1.0 1.0 0.0 0 3\ncdq 1 0 2.0 2.0 0.0 1 3\n"
         );
-        gm.cdqs_total.fetch_add(
-            results.iter().map(|r| r.cdqs_total).sum(),
-            Ordering::Relaxed,
+        assert!(
+            call(&check).starts_with("ok results"),
+            "live server answers"
         );
-        job.session.pending.fetch_sub(1, Ordering::AcqRel);
-        let ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        shared
-            .metrics
-            .check_latency
-            .record_traced(ns, job.trace.map_or(0, |t| t.raw()));
-        copred_obs::flight_op("check", job.motions.len() as u64, ns);
-        let threshold = shared.config.flight_threshold_ms;
-        if threshold > 0 && ns > threshold.saturating_mul(1_000_000) {
-            maybe_auto_dump(shared);
-        }
-        // The connection may have vanished; the work still counted.
-        let _ = job.reply.send(results);
+        server.shutdown();
+        assert_eq!(call(&check), "err busy server shutting down\n");
+        assert!(call("stats").starts_with("ok stats"));
     }
 }

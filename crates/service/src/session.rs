@@ -19,7 +19,7 @@ use copred_store::{SessionStore, StoreRegistry, StoreStats, TableImage};
 use copred_swexec::ConcurrentCht;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Looks up a robot preset by wire name.
 pub fn robot_by_name(name: &str) -> Option<Robot> {
@@ -63,7 +63,7 @@ pub struct SessionState {
 impl SessionState {
     /// Advances the session's `U`-policy stream by one draw in `[0, 1)`.
     pub fn next_u_draw(&self) -> f64 {
-        let mut s = self.u_state.lock().expect("u_state lock");
+        let mut s = self.u_state.lock().unwrap_or_else(PoisonError::into_inner);
         *s ^= *s << 13;
         *s ^= *s >> 7;
         *s ^= *s << 17;
@@ -71,7 +71,7 @@ impl SessionState {
     }
 
     fn u_state_snapshot(&self) -> u64 {
-        *self.u_state.lock().expect("u_state lock")
+        *self.u_state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A plain-memory image of the session's table *and* its `U`-draw RNG
@@ -303,7 +303,7 @@ impl<P: CdqPredictor> CdqPredictor for TimedPredictor<'_, P> {
 }
 
 /// Executes one motion-check batch against a session: the one batch
-/// implementation, shared by the TCP worker pool, the conformance harness
+/// implementation, shared by the TCP server, the conformance harness
 /// and the replay engine. Schedules each motion per the session's
 /// [`SchedMode`], updates the session's metrics (including the confusion
 /// ledger via [`ChtPredictor`] observes), and returns the wire-visible
@@ -398,7 +398,7 @@ pub struct OpenOutcome {
 }
 
 /// The concurrent session table. All methods are safe to call from any
-/// connection or worker thread.
+/// thread.
 pub struct SessionRegistry {
     /// One table per session slot; a session leases `slots[shard_slot]`.
     slots: Vec<Arc<ConcurrentCht>>,
@@ -463,7 +463,11 @@ impl SessionRegistry {
 
     /// Open sessions right now.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("registry lock").sessions.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .sessions
+            .len()
     }
 
     /// Whether no session is open.
@@ -475,7 +479,7 @@ impl SessionRegistry {
     /// renderer walks this without holding the registry lock while
     /// formatting. Does not bump LRU stamps.
     pub fn sessions_snapshot(&self) -> Vec<Arc<SessionState>> {
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut v: Vec<Arc<SessionState>> = inner.sessions.values().map(Arc::clone).collect();
         v.sort_by_key(|s| s.id);
         v
@@ -525,7 +529,7 @@ impl SessionRegistry {
         let robot = robot_by_name(robot_name)
             .ok_or_else(|| ServiceError::BadRequest(format!("unknown robot '{robot_name}'")))?;
         let hasher = CoordHash::paper_default(&robot);
-        let mut inner = self.inner.lock().expect("registry lock");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut evicted = 0;
         let mut evicted_occupancy = 0u64;
         if inner.free_slots.is_empty() {
@@ -619,7 +623,7 @@ impl SessionRegistry {
     ///
     /// [`ServiceError::NoSession`] for unknown (or evicted) tokens.
     pub fn get(&self, id: u64) -> Result<Arc<SessionState>, ServiceError> {
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let s = inner.sessions.get(&id).ok_or(ServiceError::NoSession(id))?;
         s.last_used.store(self.tick(), Ordering::Relaxed);
         Ok(Arc::clone(s))
@@ -632,7 +636,7 @@ impl SessionRegistry {
     ///
     /// [`ServiceError::NoSession`] for unknown tokens.
     pub fn close(&self, id: u64) -> Result<(), ServiceError> {
-        let mut inner = self.inner.lock().expect("registry lock");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let s = inner
             .sessions
             .remove(&id)
@@ -662,6 +666,25 @@ mod tests {
         reg.close(s.id).unwrap();
         assert!(reg.is_empty());
         assert!(matches!(reg.get(s.id), Err(ServiceError::NoSession(_))));
+    }
+
+    #[test]
+    fn poisoned_registry_lock_still_serves() {
+        let reg = registry(2);
+        let poisoned = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _inner = reg.inner.lock().unwrap();
+                    panic!("panic while holding the registry lock");
+                })
+                .join()
+        });
+        assert!(poisoned.is_err());
+        assert!(reg.inner.is_poisoned());
+        let (s, _) = reg.open("planar-2d", SchedMode::Coord, 7).unwrap();
+        assert_eq!(reg.get(s.id).unwrap().id, s.id);
+        reg.close(s.id).unwrap();
+        assert!(reg.is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`swexec`] — CPU threads + GPU wavefront software models;
 //! * [`accel`] — the cycle-level COPU+CDU simulator and energy/area models;
 //! * [`service`] — the batched, session-sharded collision-prediction
-//!   server (TCP wire protocol, worker pool with backpressure, load
+//!   server (TCP wire protocol, admission gate with backpressure, load
 //!   generator and op-log replay).
 //!
 //! ## Quickstart
