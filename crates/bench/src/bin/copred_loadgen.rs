@@ -1,7 +1,10 @@
-//! Load generator: replays captured planner workloads against a running
-//! `copred_server` and records the run as a CPRDLOG op-log — the
-//! versioned record/replay interchange format (`copred_replay` drives
-//! the same log back against any backend).
+//! Load generator: captures planner workloads, builds their op stream as
+//! data (`copred_replay::trace_log`), drives it over N client connections
+//! to a `copred_server` with the replay engine
+//! (`copred_replay::run_parallel`: sessions dealt round-robin, each
+//! session's ops in order, closed loop), and records the run as a CPRDLOG
+//! op-log — the versioned record/replay interchange format
+//! (`copred_replay` drives the same log back against any backend).
 //!
 //! ```text
 //! copred_loadgen [key=value ...]
@@ -10,12 +13,10 @@
 //!   queries=8             planning queries (sessions) to capture and replay
 //!   connections=8         concurrent client connections
 //!   mode=coord            coord | naive | csp
-//!   pacing=closed         closed | open:<interval_us>
 //!   batch=8               motions per CHECK_MOTION frame
-//!   seed=42               capture + replay seed (deterministic)
+//!   seed=42               capture + replay seed (deterministic; when
+//!                         not given, sessions replay with seed 1)
 //!   oplog=oplog.cprlog    CPRDLOG op-log output path ("-" to skip)
-//!   metrics_interval=1    sample global stats every N seconds into a
-//!                         sidecar TSV next to the op-log
 //!   bench_json=bench.json also write the run summary as a perfwatch
 //!                         BENCH-schema JSON report (see `copred_bench`)
 //!   traceids=1            attach wire trace ids to check batches
@@ -41,14 +42,12 @@
 //! ```
 
 use copred_bench::{Combo, Scale};
-use copred_replay::{LogMeta, LogWriter};
-use copred_service::protocol::SchedMode;
-use copred_service::{
-    run_loadgen, write_stats_tsv, LoadgenConfig, LoadgenReport, LogRecord, Pacing, Server,
-    ServerConfig,
+use copred_replay::{
+    run_parallel, trace_log, write_log, LoopbackBackend, ReplayLog, ReplayOptions, ReplayOutcome,
 };
+use copred_service::protocol::SchedMode;
+use copred_service::{Server, ServerConfig};
 use copred_trace::QueryTrace;
-use std::time::Duration;
 
 /// Every key `copred_loadgen` accepts; unknown keys are rejected with
 /// this list so a typo never silently no-ops.
@@ -58,12 +57,10 @@ const VALID_FLAGS: &[&str] = &[
     "queries",
     "connections",
     "mode",
-    "pacing",
     "batch",
     "seed",
     "oplog",
     "bench_json",
-    "metrics_interval",
     "traceids",
     "trace",
     "inproc",
@@ -75,11 +72,19 @@ const VALID_FLAGS: &[&str] = &[
 ];
 
 struct Args {
+    addr: String,
     combo: Combo,
     queries: usize,
+    connections: usize,
+    mode: SchedMode,
+    batch: usize,
     seed: u64,
+    /// Base seed of the sessions' `U`-policy streams: `seed=` sets it
+    /// together with the capture seed, otherwise it stays 1.
+    session_seed: u64,
     oplog: String,
     bench_json: Option<String>,
+    trace_ids: bool,
     trace: Option<String>,
     inproc: bool,
     ab: bool,
@@ -87,7 +92,6 @@ struct Args {
     warm: bool,
     store_dir: Option<String>,
     profile: Option<String>,
-    lg: LoadgenConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -98,11 +102,17 @@ fn parse_args() -> Result<Args, String> {
 /// list, rejecting unknown keys with the full [`VALID_FLAGS`] list.
 fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
+        addr: "127.0.0.1:7457".to_string(),
         combo: Combo::paper_six()[0], // MPNet-Baxter
         queries: 8,
+        connections: 8,
+        mode: SchedMode::Coord,
+        batch: 8,
         seed: 42,
+        session_seed: 1,
         oplog: "oplog.cprlog".to_string(),
         bench_json: None,
+        trace_ids: true,
         trace: None,
         inproc: false,
         ab: false,
@@ -110,10 +120,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
         warm: false,
         store_dir: None,
         profile: None,
-        lg: LoadgenConfig {
-            trace_ids: true,
-            ..LoadgenConfig::default()
-        },
     };
     for arg in argv {
         let (key, value) = arg
@@ -125,7 +131,7 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
                 .map_err(|_| format!("bad number for {key}: '{value}'"))
         };
         match key {
-            "addr" => args.lg.addr = value.to_string(),
+            "addr" => args.addr = value.to_string(),
             "combo" => {
                 args.combo = Combo::paper_six()
                     .into_iter()
@@ -137,39 +143,19 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
                     })?;
             }
             "queries" => args.queries = num()? as usize,
-            "connections" => args.lg.connections = num()? as usize,
+            "connections" => args.connections = num()? as usize,
             "mode" => {
-                args.lg.mode = SchedMode::parse(value)
+                args.mode = SchedMode::parse(value)
                     .ok_or_else(|| format!("bad mode '{value}' (coord|naive|csp)"))?;
             }
-            "pacing" => {
-                args.lg.pacing = match value.split_once(':') {
-                    None if value == "closed" => Pacing::Closed,
-                    Some(("open", us)) => Pacing::Open {
-                        interval_us: us
-                            .parse()
-                            .map_err(|_| format!("bad open-loop interval '{us}'"))?,
-                    },
-                    _ => return Err(format!("bad pacing '{value}' (closed|open:<us>)")),
-                };
-            }
-            "batch" => args.lg.batch = num()? as usize,
+            "batch" => args.batch = num()? as usize,
             "seed" => {
                 args.seed = num()?;
-                args.lg.seed = args.seed;
+                args.session_seed = args.seed;
             }
             "oplog" => args.oplog = value.to_string(),
             "bench_json" => args.bench_json = Some(value.to_string()),
-            "metrics_interval" => {
-                let secs: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad metrics interval '{value}'"))?;
-                if secs <= 0.0 || !secs.is_finite() {
-                    return Err(format!("metrics interval must be positive, got '{value}'"));
-                }
-                args.lg.metrics_interval = Some(Duration::from_secs_f64(secs));
-            }
-            "traceids" => args.lg.trace_ids = value == "1" || value == "true",
+            "traceids" => args.trace_ids = value == "1" || value == "true",
             "trace" => args.trace = Some(value.to_string()),
             "inproc" => args.inproc = value == "1" || value == "true",
             "ab" => args.ab = value == "1" || value == "true",
@@ -205,10 +191,8 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
     if args.ab_budget.is_some() && !args.ab {
         return Err("ab_budget requires ab=1".to_string());
     }
-    // Stream the sidecar stats TSV during the run (atomic tmp+rename per
-    // snapshot) so a killed run still leaves a parseable partial file.
-    if args.lg.metrics_interval.is_some() && args.oplog != "-" {
-        args.lg.stats_tsv = Some(stats_path(&args.oplog));
+    if args.connections == 0 || args.batch == 0 {
+        return Err("connections and batch must be positive".to_string());
     }
     Ok(args)
 }
@@ -222,48 +206,84 @@ fn quantile_ns(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Sorted per-batch `check_motion` latencies from a run's op-log.
-fn check_latencies(report: &LoadgenReport) -> Vec<u64> {
-    let mut ns: Vec<u64> = report
-        .ops
+/// One driven pass: the engine's outcome plus the `retry_after` rounds
+/// its connections absorbed.
+struct Run {
+    out: ReplayOutcome,
+    retries: u64,
+}
+
+impl Run {
+    /// Sessions the server warm-started from persisted state.
+    fn warm_opens(&self) -> usize {
+        self.out
+            .responses
+            .iter()
+            .filter(|r| r.starts_with("ok session _ warm 1"))
+            .count()
+    }
+}
+
+/// Sorted per-batch `check_motion` latencies of a pass over `log`.
+fn check_latencies(log: &ReplayLog, run: &Run) -> Vec<u64> {
+    let mut ns: Vec<u64> = log
+        .records
         .iter()
-        .filter(|op| op.verb == "check_motion")
-        .map(|op| op.duration_ns)
+        .zip(&run.out.live)
+        .filter(|(rec, _)| rec.verb == "check_motion")
+        .map(|(_, op)| op.duration_ns)
         .collect();
     ns.sort_unstable();
     ns
 }
 
-/// Runs the workload against a fresh in-process server (or the configured
-/// remote address when `inproc` is off). Returns the run report plus the
+/// Drives `log` over `connections` fresh connections to `addr`. An op
+/// the server answers with an error fails the run, as does any engine
+/// error.
+fn drive(log: &ReplayLog, addr: &str, connections: usize) -> Result<Run, String> {
+    let mut backends = (0..connections)
+        .map(|_| LoopbackBackend::connect(addr))
+        .collect::<std::io::Result<Vec<_>>>()
+        .map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let opts = ReplayOptions {
+        compare: false,
+        ..ReplayOptions::default()
+    };
+    let out = run_parallel(log, &mut backends, &opts).map_err(|e| e.to_string())?;
+    if out.backend_errors > 0 {
+        return Err(format!("{} ops answered with an error", out.backend_errors));
+    }
+    let retries = backends.iter().map(LoopbackBackend::retries).sum();
+    Ok(Run { out, retries })
+}
+
+/// Drives `log` against a fresh in-process server (or the configured
+/// remote address when `inproc` is off). Returns the pass plus the
 /// server's sampled stage profile (empty against a remote server, whose
 /// sampler this process cannot read).
 fn run_arm(
     args: &Args,
-    traces: &[QueryTrace],
-    trace_ids: bool,
+    log: &ReplayLog,
     sampler_on: bool,
-) -> std::io::Result<(LoadgenReport, copred_obs::Profile)> {
-    let mut lg = args.lg.clone();
-    lg.trace_ids = trace_ids;
-    if args.inproc {
-        let server = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            profile_sampler: sampler_on,
-            ..ServerConfig::default()
-        })?;
-        lg.addr = server.local_addr().to_string();
-        let report = run_loadgen(&lg, traces)?;
-        Ok((report, server.profile()))
-    } else {
-        Ok((run_loadgen(&lg, traces)?, copred_obs::Profile::default()))
+) -> Result<(Run, copred_obs::Profile), String> {
+    if !args.inproc {
+        let run = drive(log, &args.addr, args.connections)?;
+        return Ok((run, copred_obs::Profile::default()));
     }
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        profile_sampler: sampler_on,
+        ..ServerConfig::default()
+    })
+    .map_err(|e| format!("server failed to start: {e}"))?;
+    let run = drive(log, &server.local_addr().to_string(), args.connections)?;
+    Ok((run, server.profile()))
 }
 
-/// Replays the workload twice against one in-process server with
+/// Drives the workload twice against one in-process server with
 /// persistence enabled: the first pass starts cold and persists each
 /// session's CHT on close, the second warm-starts from the store.
-fn run_warm(args: &Args, traces: &[QueryTrace]) -> std::io::Result<(LoadgenReport, LoadgenReport)> {
+fn run_warm(args: &Args, log: &ReplayLog) -> Result<(Run, Run), String> {
     let dir = match &args.store_dir {
         Some(d) => d.clone(),
         None => {
@@ -277,23 +297,20 @@ fn run_warm(args: &Args, traces: &[QueryTrace]) -> std::io::Result<(LoadgenRepor
         addr: "127.0.0.1:0".to_string(),
         store_dir: Some(dir.clone()),
         ..ServerConfig::default()
-    })?;
+    })
+    .map_err(|e| format!("server failed to start: {e}"))?;
     eprintln!("store         {dir}");
-    let lg = LoadgenConfig {
-        addr: server.local_addr().to_string(),
-        ..args.lg.clone()
-    };
-    let cold = run_loadgen(&lg, traces)?;
-    let warm = run_loadgen(&lg, traces)?;
+    let addr = server.local_addr().to_string();
+    let cold = drive(log, &addr, args.connections)?;
+    let warm = drive(log, &addr, args.connections)?;
     Ok((cold, warm))
 }
 
-/// Replays the workload repeatedly with observability off and on —
-/// alternating arm order to cancel warmup/drift, fresh in-process server
-/// One full alternating A/B round: `REPS` off/on replay pairs. Prints
-/// the pooled-quantile table and returns the median of the per-rep p99
+/// One full alternating A/B round: `REPS` off/on replay pairs, the off
+/// arm driving `logs[0]` and the on arm `logs[1]`. Prints the
+/// pooled-quantile table and returns the median of the per-rep p99
 /// overhead percentages.
-fn ab_round(args: &Args, traces: &[QueryTrace]) -> std::io::Result<f64> {
+fn ab_round(args: &Args, logs: &[ReplayLog; 2]) -> Result<f64, String> {
     const REPS: usize = 5;
     let mut off_ns = Vec::new();
     let mut on_ns = Vec::new();
@@ -313,10 +330,11 @@ fn ab_round(args: &Args, traces: &[QueryTrace]) -> std::io::Result<f64> {
             // The on arm carries wire trace ids (exemplars + flight
             // stamps active) plus the stage sampler; the off arm is the
             // pre-observability baseline.
-            let (report, profile) = run_arm(args, traces, enabled, enabled)?;
+            let log = &logs[usize::from(enabled)];
+            let (run, profile) = run_arm(args, log, enabled)?;
             copred_obs::disable();
             events += copred_obs::drain_events().len();
-            let lat = check_latencies(&report);
+            let lat = check_latencies(log, &run);
             rep_p99[usize::from(enabled)] = quantile_ns(&lat, 0.99);
             let target = if enabled { &mut on_ns } else { &mut off_ns };
             target.extend(lat);
@@ -367,20 +385,20 @@ fn ab_round(args: &Args, traces: &[QueryTrace]) -> std::io::Result<f64> {
 /// the budget check allows up to three rounds and passes on the first
 /// in-budget median: a real regression fails every round, a noisy burst
 /// fails one.
-fn run_ab(args: &Args, traces: &[QueryTrace]) -> std::io::Result<()> {
+fn run_ab(args: &Args, logs: &[ReplayLog; 2]) -> Result<(), String> {
     // Discarded warmup replay: pages in the binary, traces, and rings.
     copred_obs::enable();
-    run_arm(args, traces, true, true)?;
+    run_arm(args, &logs[1], true)?;
     copred_obs::drain_events();
 
     let Some(budget) = args.ab_budget else {
-        let median = ab_round(args, traces)?;
+        let median = ab_round(args, logs)?;
         println!("p99_median    {median:+.2}% per-rep");
         return Ok(());
     };
     const ROUNDS: usize = 3;
     for round in 1..=ROUNDS {
-        let median = ab_round(args, traces)?;
+        let median = ab_round(args, logs)?;
         if median <= budget {
             println!("budget        median per-rep p99 {median:+.2}% within {budget:.2}% (round {round}/{ROUNDS})");
             return Ok(());
@@ -394,7 +412,7 @@ fn run_ab(args: &Args, traces: &[QueryTrace]) -> std::io::Result<()> {
 }
 
 fn main() {
-    let mut args = match parse_args() {
+    let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("copred_loadgen: {e}");
@@ -412,65 +430,79 @@ fn main() {
         args.seed
     );
     let pairs = copred_bench::workloads::planner_traces_with_scenes(&args.combo, &scale, args.seed);
-    if args.warm {
-        // Warm-start needs each open to carry its scene's fingerprint.
+    // Warm-start needs each open to carry its scene's fingerprint.
+    let fingerprints: Option<Vec<u64>> = args.warm.then(|| {
         let robot = args.combo.robot.robot();
-        args.lg.fingerprints = Some(
-            pairs
-                .iter()
-                .map(|(_t, env)| copred_store::environment_fingerprint(&robot, env))
-                .collect(),
-        );
-    }
+        pairs
+            .iter()
+            .map(|(_t, env)| copred_store::environment_fingerprint(&robot, env))
+            .collect()
+    });
     let traces: Vec<QueryTrace> = pairs.into_iter().map(|(t, _env)| t).collect();
     let motions: usize = traces.iter().map(|t| t.motions.len()).sum();
     eprintln!(
-        "replaying {} traces / {} motions over {} connections ({:?}, mode {})...",
+        "replaying {} traces / {} motions over {} connections (mode {})...",
         traces.len(),
         motions,
-        args.lg.connections,
-        args.lg.pacing,
-        args.lg.mode.label()
+        args.connections,
+        args.mode.label()
     );
-    if args.ab {
-        if let Err(e) = run_ab(&args, &traces) {
-            eprintln!("copred_loadgen: {e}");
-            std::process::exit(1);
+    let op_stream = |trace_ids: bool| {
+        let mut log = trace_log(
+            &traces,
+            args.mode,
+            args.session_seed,
+            args.batch,
+            fingerprints.as_deref(),
+            trace_ids,
+        );
+        // Trace `i` is session key `i + 1`, opened `i`-th, so the engine
+        // deals it to connection `i mod connections`: tag it so.
+        for rec in &mut log.records {
+            let i = rec.session - 1;
+            rec.tag = format!("conn{}/trace{i}", i % args.connections as u64);
         }
+        log.meta.seed = args.seed;
+        log.meta.workload = args.combo.label();
+        log.meta.scale = format!(
+            "queries={} connections={} batch={} mode={}",
+            args.queries,
+            args.connections,
+            args.batch,
+            args.mode.label()
+        );
+        log
+    };
+    if args.ab {
+        // The on arm carries wire trace ids (exemplars + flight stamps
+        // active) plus the stage sampler; the off arm is the
+        // pre-observability baseline.
+        or_exit(run_ab(&args, &[op_stream(false), op_stream(true)]));
         return;
     }
+    let log = op_stream(args.trace_ids);
     if args.warm {
-        let (cold, warm) = match run_warm(&args, &traces) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("copred_loadgen: {e}");
-                std::process::exit(1);
-            }
-        };
+        let (cold, warm) = or_exit(run_warm(&args, &log));
         println!("workload      {}", args.combo.label());
-        println!("mode          {}", args.lg.mode.label());
+        println!("mode          {}", args.mode.label());
         println!("pass            checks  cdqs_issued   warm_opens");
         for (name, r) in [("cold", &cold), ("warm", &warm)] {
             println!(
                 "{name:<13} {:>9} {:>12} {:>12}",
-                r.checks, r.cdqs_issued, r.warm_opens
+                r.out.totals.checks,
+                r.out.totals.cdqs_issued,
+                r.warm_opens()
             );
         }
-        let reduction = 1.0 - warm.cdqs_issued as f64 / cold.cdqs_issued.max(1) as f64;
+        let reduction =
+            1.0 - warm.out.totals.cdqs_issued as f64 / cold.out.totals.cdqs_issued.max(1) as f64;
         println!("warm_cdq_reduction {reduction:.4}");
         if let Some(path) = &args.bench_json {
-            if let Err(e) = write_warm_bench_json(path, &args, &cold, &warm) {
-                eprintln!("copred_loadgen: writing {path}: {e}");
-                std::process::exit(1);
-            }
+            or_exit(write_warm_bench_json(path, &args, &log, &cold, &warm));
             println!("bench_json    {path}");
         }
         // The op-log records the warm pass.
-        let robot_name = traces.first().map_or("", |t| t.robot_name.as_str());
-        if let Err(e) = save_oplog(&args, robot_name, &warm.ops) {
-            eprintln!("copred_loadgen: writing op-log: {e}");
-            std::process::exit(1);
-        }
+        or_exit(save_oplog(&args, &warm.out.recording(&log)));
         return;
     }
     if args.trace.is_some() {
@@ -480,23 +512,11 @@ fn main() {
     // mid-flight still leaves a parseable artifact (marked partial=1),
     // overwritten with the full report on success.
     if let Some(path) = &args.bench_json {
-        if let Err(e) = write_partial_bench_json(path, &args) {
-            eprintln!("copred_loadgen: writing {path}: {e}");
-            std::process::exit(1);
-        }
+        or_exit(write_partial_bench_json(path, &args));
     }
-    let (report, profile) = match run_arm(&args, &traces, args.lg.trace_ids, true) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("copred_loadgen: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (run, profile) = or_exit(run_arm(&args, &log, true));
     if let Some(path) = &args.profile {
-        if let Err(e) = std::fs::write(path, profile.folded()) {
-            eprintln!("copred_loadgen: writing {path}: {e}");
-            std::process::exit(1);
-        }
+        or_exit(std::fs::write(path, profile.folded()).map_err(|e| format!("writing {path}: {e}")));
         println!(
             "profile       {path} ({} samples, {} threads)",
             profile.samples(),
@@ -509,64 +529,48 @@ fn main() {
         // The trace carries the run's sampled stage profile alongside its
         // events, mirroring the server's trace_dump export.
         let json = copred_obs::chrome_trace_json_with_profile(&events, &profile);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("copred_loadgen: writing {path}: {e}");
-            std::process::exit(1);
-        }
+        or_exit(std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}")));
         println!(
             "trace         {path} ({} events, {} dropped)",
             events.len(),
             copred_obs::dropped_events()
         );
     }
+    let t = run.out.totals;
     println!("workload      {}", args.combo.label());
-    println!("mode          {}", args.lg.mode.label());
-    println!("checks        {}", report.checks);
-    println!("collisions    {}", report.collisions);
-    println!("cdqs_issued   {}", report.cdqs_issued);
-    println!("cdqs_total    {}", report.cdqs_total);
+    println!("mode          {}", args.mode.label());
+    println!("checks        {}", t.checks);
+    println!("collisions    {}", t.collisions);
+    println!("cdqs_issued   {}", t.cdqs_issued);
+    println!("cdqs_total    {}", t.cdqs_total);
     println!(
         "cdqs_saved    {} ({:.1}%)",
-        report.cdqs_total - report.cdqs_issued,
-        100.0 * (report.cdqs_total - report.cdqs_issued) as f64 / report.cdqs_total.max(1) as f64
+        t.cdqs_total - t.cdqs_issued,
+        100.0 * (t.cdqs_total - t.cdqs_issued) as f64 / t.cdqs_total.max(1) as f64
     );
-    println!("retries       {}", report.retries);
-    println!("wall_s        {:.3}", report.wall_ns as f64 / 1e9);
-    println!("checks_per_s  {:.1}", report.checks_per_sec());
+    println!("retries       {}", run.retries);
+    println!("wall_s        {:.3}", run.out.wall_ns as f64 / 1e9);
+    println!("checks_per_s  {:.1}", run.out.checks_per_sec());
     if let Some(path) = &args.bench_json {
-        if let Err(e) = write_bench_json(path, &args, &report) {
-            eprintln!("copred_loadgen: writing {path}: {e}");
-            std::process::exit(1);
-        }
+        or_exit(write_bench_json(path, &args, &log, &run));
         println!("bench_json    {path}");
     }
-    {
-        let robot_name = traces.first().map_or("", |t| t.robot_name.as_str());
-        if let Err(e) = save_oplog(&args, robot_name, &report.ops) {
-            eprintln!("copred_loadgen: writing op-log: {e}");
-            std::process::exit(1);
-        }
-        if args.oplog != "-" && !report.stats_snapshots.is_empty() {
-            let path = stats_path(&args.oplog);
-            if let Err(e) = std::fs::write(&path, write_stats_tsv(&report.stats_snapshots)) {
-                eprintln!("copred_loadgen: writing {path}: {e}");
-                std::process::exit(1);
-            }
-            println!(
-                "stats         {path} ({} snapshots)",
-                report.stats_snapshots.len()
-            );
-        }
-    }
+    or_exit(save_oplog(&args, &run.out.recording(&log)));
 }
 
-/// Writes the run summary as a perfwatch BENCH-schema report so ad-hoc
-/// loadgen runs land in the same machine-readable trajectory as the
-/// canonical `copred_bench` suite.
-fn write_bench_json(path: &str, args: &Args, report: &LoadgenReport) -> std::io::Result<()> {
-    use copred_obs::{BenchReport, BenchWriter};
-    let label = format!("loadgen_{}_{}", args.combo.label(), args.lg.mode.label());
-    let bench = BenchReport::new(
+/// The value, or the error on stderr and exit status 1.
+fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("copred_loadgen: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// A BENCH-schema writer for this run's report, labelled
+/// `loadgen_<kind><combo>_<mode>`.
+fn bench_writer(path: &str, args: &Args, kind: &str) -> copred_obs::BenchWriter {
+    let label = format!("loadgen_{kind}{}_{}", args.combo.label(), args.mode.label());
+    let bench = copred_obs::BenchReport::new(
         &label,
         &copred_bench::perfwatch::git_sha(),
         args.seed,
@@ -574,24 +578,24 @@ fn write_bench_json(path: &str, args: &Args, report: &LoadgenReport) -> std::io:
     );
     // Flush-on-drop (same contract as the op-log writer): the report lands
     // on disk even if a later step panics.
-    let mut w = BenchWriter::new(std::path::Path::new(path), bench);
-    push_run(&mut w, "", report);
-    w.finish()
+    copred_obs::BenchWriter::new(std::path::Path::new(path), bench)
+}
+
+/// Writes the run summary as a perfwatch BENCH-schema report so ad-hoc
+/// loadgen runs land in the same machine-readable trajectory as the
+/// canonical `copred_bench` suite.
+fn write_bench_json(path: &str, args: &Args, log: &ReplayLog, run: &Run) -> Result<(), String> {
+    let mut w = bench_writer(path, args, "");
+    push_run(&mut w, "", log, run);
+    w.finish().map_err(|e| format!("writing {path}: {e}"))
 }
 
 /// Placeholder written before the run: same BENCH schema, a single
 /// `partial=1` record. Overwritten by the full report on clean exit, so
 /// its presence marks a run that died mid-flight.
-fn write_partial_bench_json(path: &str, args: &Args) -> std::io::Result<()> {
-    use copred_obs::{BenchRecord, BenchReport, BenchWriter, Better};
-    let label = format!("loadgen_{}_{}", args.combo.label(), args.lg.mode.label());
-    let bench = BenchReport::new(
-        &label,
-        &copred_bench::perfwatch::git_sha(),
-        args.seed,
-        "custom",
-    );
-    let mut w = BenchWriter::new(std::path::Path::new(path), bench);
+fn write_partial_bench_json(path: &str, args: &Args) -> Result<(), String> {
+    use copred_obs::{BenchRecord, Better};
+    let mut w = bench_writer(path, args, "");
     w.push(BenchRecord::deterministic(
         "loadgen",
         "partial",
@@ -599,7 +603,7 @@ fn write_partial_bench_json(path: &str, args: &Args) -> std::io::Result<()> {
         "flag",
         Better::Lower,
     ));
-    w.finish()
+    w.finish().map_err(|e| format!("writing {path}: {e}"))
 }
 
 /// `warm=1` variant of [`write_bench_json`]: both passes land in one
@@ -607,62 +611,43 @@ fn write_partial_bench_json(path: &str, args: &Args) -> std::io::Result<()> {
 fn write_warm_bench_json(
     path: &str,
     args: &Args,
-    cold: &LoadgenReport,
-    warm: &LoadgenReport,
-) -> std::io::Result<()> {
-    use copred_obs::{BenchRecord, BenchReport, BenchWriter, Better};
-    let label = format!(
-        "loadgen_warm_{}_{}",
-        args.combo.label(),
-        args.lg.mode.label()
-    );
-    let bench = BenchReport::new(
-        &label,
-        &copred_bench::perfwatch::git_sha(),
-        args.seed,
-        "custom",
-    );
-    let mut w = BenchWriter::new(std::path::Path::new(path), bench);
-    push_run(&mut w, "cold_", cold);
-    push_run(&mut w, "warm_", warm);
+    log: &ReplayLog,
+    cold: &Run,
+    warm: &Run,
+) -> Result<(), String> {
+    use copred_obs::{BenchRecord, Better};
+    let mut w = bench_writer(path, args, "warm_");
+    push_run(&mut w, "cold_", log, cold);
+    push_run(&mut w, "warm_", log, warm);
     w.push(BenchRecord::deterministic(
         "loadgen",
         "warm_cdq_reduction",
-        1.0 - warm.cdqs_issued as f64 / cold.cdqs_issued.max(1) as f64,
+        1.0 - warm.out.totals.cdqs_issued as f64 / cold.out.totals.cdqs_issued.max(1) as f64,
         "fraction",
         Better::Higher,
     ));
-    w.finish()
+    w.finish().map_err(|e| format!("writing {path}: {e}"))
 }
 
 /// Pushes one run's records with metric names prefixed (`""`, `"cold_"`,
 /// `"warm_"`). Counters are deterministic records, latencies timing.
-fn push_run(w: &mut copred_obs::BenchWriter, prefix: &str, report: &LoadgenReport) {
+fn push_run(w: &mut copred_obs::BenchWriter, prefix: &str, log: &ReplayLog, run: &Run) {
     use copred_obs::{BenchRecord, Better};
-    let saved = (report.cdqs_total - report.cdqs_issued) as f64;
+    let t = run.out.totals;
+    let saved = (t.cdqs_total - t.cdqs_issued) as f64;
     for (metric, value, unit, better) in [
-        ("checks", report.checks as f64, "checks", Better::Higher),
-        (
-            "cdqs_issued",
-            report.cdqs_issued as f64,
-            "cdqs",
-            Better::Lower,
-        ),
-        (
-            "cdqs_total",
-            report.cdqs_total as f64,
-            "cdqs",
-            Better::Lower,
-        ),
+        ("checks", t.checks as f64, "checks", Better::Higher),
+        ("cdqs_issued", t.cdqs_issued as f64, "cdqs", Better::Lower),
+        ("cdqs_total", t.cdqs_total as f64, "cdqs", Better::Lower),
         (
             "cdqs_saved_frac",
-            saved / report.cdqs_total.max(1) as f64,
+            saved / t.cdqs_total.max(1) as f64,
             "fraction",
             Better::Higher,
         ),
         (
             "warm_opens",
-            report.warm_opens as f64,
+            run.warm_opens() as f64,
             "sessions",
             Better::Higher,
         ),
@@ -675,7 +660,7 @@ fn push_run(w: &mut copred_obs::BenchWriter, prefix: &str, report: &LoadgenRepor
             better,
         ));
     }
-    let lat = check_latencies(report);
+    let lat = check_latencies(log, run);
     for (q, metric) in [(0.5, "p50_ns"), (0.95, "p95_ns"), (0.99, "p99_ns")] {
         w.push(BenchRecord::timing(
             "loadgen",
@@ -688,66 +673,30 @@ fn push_run(w: &mut copred_obs::BenchWriter, prefix: &str, report: &LoadgenRepor
     w.push(BenchRecord::timing(
         "loadgen",
         &format!("{prefix}wall_s"),
-        &[report.wall_ns as f64 / 1e9],
+        &[run.out.wall_ns as f64 / 1e9],
         "s",
         Better::Lower,
     ));
     w.push(BenchRecord::timing(
         "loadgen",
         &format!("{prefix}checks_per_s"),
-        &[report.checks_per_sec()],
+        &[run.out.checks_per_sec()],
         "checks/s",
         Better::Higher,
     ));
 }
 
-/// Sidecar stats path next to the op-log: `oplog.cprlog` →
-/// `oplog.stats.tsv`.
-fn stats_path(oplog: &str) -> String {
-    let stem = oplog.strip_suffix(".cprlog").unwrap_or(oplog);
-    format!("{stem}.stats.tsv")
-}
-
-/// The recording's self-describing metadata: seed, workload label, scale
-/// knobs, robot, and the fold of the per-trace environment fingerprints
-/// (0 when the run is not fingerprinted).
-fn log_meta(args: &Args, robot_name: &str) -> LogMeta {
-    let fingerprint = args
-        .lg
-        .fingerprints
-        .as_ref()
-        .map_or(0, |fps| fps.iter().fold(0u64, |acc, fp| acc ^ fp));
-    LogMeta {
-        seed: args.seed,
-        fingerprint,
-        robot: robot_name.to_string(),
-        workload: args.combo.label(),
-        scale: format!(
-            "queries={} connections={} batch={} mode={}",
-            args.queries,
-            args.lg.connections,
-            args.lg.batch,
-            args.lg.mode.label()
-        ),
-    }
-}
-
-/// Writes the run's op-log as a sealed CPRDLOG at `args.oplog` (unless
-/// `-`).
-fn save_oplog(args: &Args, robot_name: &str, ops: &[LogRecord]) -> std::io::Result<()> {
+/// Writes `recording` as a sealed CPRDLOG at `args.oplog` (unless `-`).
+fn save_oplog(args: &Args, recording: &ReplayLog) -> Result<(), String> {
     if args.oplog == "-" {
         return Ok(());
     }
-    let file = std::fs::File::create(&args.oplog)?;
-    let mut w = LogWriter::new(std::io::BufWriter::new(file), &log_meta(args, robot_name))?;
-    for op in ops {
-        w.append(op)?;
-    }
-    w.finish()?;
+    let path = &args.oplog;
+    std::fs::write(path, write_log(&recording.meta, &recording.records))
+        .map_err(|e| format!("writing op-log {path}: {e}"))?;
     println!(
-        "oplog         {} ({} ops, CPRDLOG v{})",
-        args.oplog,
-        ops.len(),
+        "oplog         {path} ({} ops, CPRDLOG v{})",
+        recording.records.len(),
         copred_replay::LOG_VERSION
     );
     Ok(())
@@ -774,6 +723,14 @@ mod tests {
         assert!(err.contains("unknown option 'conections'"), "{err}");
         for flag in VALID_FLAGS {
             assert!(err.contains(flag), "error should list {flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn open_loop_pacing_and_stats_sidecar_flags_are_gone() {
+        for arg in ["pacing=open:200", "metrics_interval=1"] {
+            let err = parse_err(&[arg]);
+            assert!(err.contains("unknown option"), "{arg}: {err}");
         }
     }
 

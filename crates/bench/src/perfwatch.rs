@@ -22,7 +22,7 @@ use copred_kinematics::{presets, Config, Motion, Robot};
 use copred_obs::{BenchRecord, BenchReport, Better};
 use copred_planners::{MotionRecord, PlanLog, Stage};
 use copred_service::protocol::{Request, Response, SchedMode};
-use copred_service::{run_loadgen, LoadgenConfig, Pacing, Server, ServerConfig};
+use copred_service::{Server, ServerConfig};
 use copred_swexec::{run_cpu, run_gpu_model, CpuExecConfig, GpuModelParams, MOTION_LANES};
 use copred_trace::{MotionTrace, QueryTrace};
 use rand::rngs::StdRng;
@@ -420,8 +420,8 @@ fn service_suite(cfg: &PerfwatchConfig, out: &mut Vec<BenchRecord>) {
         p99.push(hist.quantile(0.99).unwrap_or(0) as f64);
         throughput.push(r.checks_per_sec());
         if rep == 0 {
-            cdqs_issued = r.cdqs_issued;
-            checks = r.checks;
+            cdqs_issued = r.totals.cdqs_issued;
+            checks = r.totals.checks;
         }
     }
     out.push(BenchRecord::deterministic(
@@ -528,8 +528,8 @@ fn fleet_suite(cfg: &PerfwatchConfig, out: &mut Vec<BenchRecord>) {
         let r = copred_replay::run_replay(&log, &mut fleet, &opts).expect("fleet replay");
         throughput.push(r.checks_per_sec());
         if rep == 0 {
-            cdqs_issued = r.cdqs_issued;
-            checks = r.checks;
+            cdqs_issued = r.totals.cdqs_issued;
+            checks = r.totals.checks;
             matches_single = r.responses == single_run.responses;
         }
     }
@@ -599,22 +599,36 @@ fn store_suite(cfg: &PerfwatchConfig, out: &mut Vec<BenchRecord>) {
         ..ServerConfig::default()
     })
     .expect("start store-enabled server");
-    let lg = LoadgenConfig {
-        addr: server.local_addr().to_string(),
-        connections: 1,
-        mode: SchedMode::Coord,
-        seed: cfg.seed,
-        pacing: Pacing::Closed,
-        batch: 8,
-        fingerprints: Some(fingerprints),
-        ..LoadgenConfig::default()
+    let log = copred_replay::trace_log(
+        &traces,
+        SchedMode::Coord,
+        cfg.seed,
+        8,
+        Some(&fingerprints),
+        false,
+    );
+    let pass = || {
+        let mut client =
+            copred_replay::LoopbackBackend::connect(server.local_addr()).expect("connect");
+        let opts = copred_replay::ReplayOptions {
+            compare: false,
+            ..copred_replay::ReplayOptions::default()
+        };
+        let r = copred_replay::run_replay(&log, &mut client, &opts).expect("store replay");
+        assert_eq!(r.backend_errors, 0, "store replay answered an error");
+        let warm_opens = r
+            .responses
+            .iter()
+            .filter(|r| r.starts_with("ok session _ warm 1"))
+            .count();
+        (r.totals, warm_opens)
     };
-    let cold = run_loadgen(&lg, &traces).expect("cold replay");
-    let warm = run_loadgen(&lg, &traces).expect("warm replay");
-    assert_eq!(cold.warm_opens, 0, "first pass must start cold");
+    let (cold, cold_warm_opens) = pass();
+    let (warm, warm_opens) = pass();
+    assert_eq!(cold_warm_opens, 0, "first pass must start cold");
     assert_eq!(
-        warm.warm_opens,
-        traces.len() as u64,
+        warm_opens,
+        traces.len(),
         "second pass must warm-start every session"
     );
     server.shutdown();

@@ -99,34 +99,6 @@ impl Environment {
         (false, self.obstacles.len())
     }
 
-    /// Minimum separation distance between an OBB and the obstacle set,
-    /// measured between the OBB's center-line sample points and obstacle
-    /// surfaces (conservative; 0 when intersecting). Infinity for an empty
-    /// environment.
-    ///
-    /// This is the query class the paper's §VII scope discussion excludes
-    /// from collision prediction: a planner that needs the separation (or
-    /// penetration) *distance* must evaluate every obstacle — there is no
-    /// early exit for a predictor to accelerate, so prediction applies only
-    /// to Boolean CDQs like [`Self::obb_collides`].
-    pub fn separation_distance_obb(&self, obb: &Obb) -> f64 {
-        if self.obstacles.is_empty() {
-            return f64::INFINITY;
-        }
-        if self.obb_collides(obb) {
-            return 0.0;
-        }
-        // Sample the box (center + corners) against every obstacle — note:
-        // no early exit is possible, unlike the Boolean query.
-        let mut best = f64::INFINITY;
-        for p in std::iter::once(obb.center).chain(obb.corners()) {
-            for o in &self.obstacles {
-                best = best.min(o.distance_squared(p));
-            }
-        }
-        best.sqrt()
-    }
-
     /// Point-in-obstacle query (used by clearance fields and samplers).
     pub fn point_collides(&self, p: Vec3) -> bool {
         self.obstacles.iter().any(|o| o.contains(p))
@@ -239,25 +211,6 @@ mod tests {
         let frac = e.clutter_fraction(8);
         assert!(frac >= 0.5f64.powi(3) / 8.0);
         assert!(frac < 0.1);
-    }
-
-    #[test]
-    fn separation_distance_scope_query() {
-        let e = env_one(); // obstacle [0, 0.5]^3
-                           // Intersecting box: distance 0.
-        let hit = Obb::axis_aligned(Vec3::splat(0.4), Vec3::splat(0.2));
-        assert_eq!(e.separation_distance_obb(&hit), 0.0);
-        // Separated box: nearest corner at (-0.2,...) -> 0.2 from the face.
-        let sep = Obb::axis_aligned(Vec3::splat(-0.4), Vec3::splat(0.2));
-        let d = e.separation_distance_obb(&sep);
-        assert!((d - 0.2 * 3f64.sqrt()).abs() < 0.15, "distance {d}");
-        assert!(d > 0.0);
-        // Empty environment: infinite separation.
-        let empty = Environment::empty(ws());
-        assert_eq!(empty.separation_distance_obb(&sep), f64::INFINITY);
-        // Monotone: moving the probe away never decreases the distance.
-        let further = Obb::axis_aligned(Vec3::splat(-0.7), Vec3::splat(0.2));
-        assert!(e.separation_distance_obb(&further) >= d);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Stages 5–7: one recorded workload, several arms, one engine.
 //!
-//! Each case records a live run ([`copred_replay::record`]) and replays
+//! Each case records its workload's op stream ([`copred_replay::trace_log`])
+//! on a fresh loopback server ([`copred_replay::record`]) and replays
 //! it through [`copred_replay::run_ab`], which holds every arm against
 //! the recording, the other arms, and a re-run, and audits aggregates
 //! and per-session ledgers. Only what each stage adds lives here:
@@ -20,21 +21,19 @@
 
 use crate::Case;
 use copred_replay::{
-    record, strip_trace_token, Arm, Differential, InProcessBackend, LoopbackBackend, ReplayLog,
-    ReplayOptions,
+    record, strip_trace_token, trace_log, Arm, Differential, InProcessBackend, LoopbackBackend,
+    ReplayLog, ReplayOptions,
 };
-use copred_service::{LoadgenConfig, ServerConfig};
+use copred_service::ServerConfig;
 
 /// Records this case's workload (3 traces) against a default server.
 fn record_case(c: &Case<'_>, trace_ids: bool) -> Result<ReplayLog, String> {
-    let lg = LoadgenConfig {
-        mode: c.mode(),
-        seed: c.seed,
-        batch: 1 + (c.index % 3) as usize,
-        trace_ids,
-        ..LoadgenConfig::default()
-    };
-    record(ServerConfig::default(), lg, &c.traces(3), "conform")
+    let batch = 1 + (c.index % 3) as usize;
+    let mut log = trace_log(&c.traces(3), c.mode(), c.seed, batch, None, trace_ids);
+    log.meta.workload = "conform".to_string();
+    let mut server = LoopbackBackend::start(ServerConfig::default())
+        .map_err(|e| format!("recording server failed to start: {e}"))?;
+    record(&log, &mut server)
 }
 
 /// A loopback server with default settings except the stage sampler.

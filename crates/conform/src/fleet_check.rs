@@ -20,9 +20,12 @@
 use crate::Case;
 use copred_core::{ChtParams, Strategy};
 use copred_fleet::{FleetBackend, SessionLedger};
-use copred_replay::{record, unrecorded_log, Arm, Differential, InProcessBackend, ReplayOptions};
+use copred_replay::{
+    record, trace_log, unrecorded_log, Arm, Differential, InProcessBackend, LoopbackBackend,
+    ReplayOptions,
+};
 use copred_service::protocol::{Request, Response, SchedMode};
-use copred_service::{LoadgenConfig, Server, ServerConfig, ServiceClient};
+use copred_service::{Server, ServerConfig, ServiceClient};
 use copred_store::crc::crc32;
 use copred_store::snapshot::encode;
 use copred_store::TableImage;
@@ -37,13 +40,12 @@ pub(crate) fn check_case(c: &mut Case<'_>) {
 
 /// A recorded run replays through a fleet exactly like a single node.
 fn check_replay_identity(c: &mut Case<'_>) {
-    let lg = LoadgenConfig {
-        mode: SchedMode::Coord,
-        seed: c.seed,
-        batch: 2,
-        ..LoadgenConfig::default()
-    };
-    let log = match record(ServerConfig::default(), lg, &c.traces(2), "conform-fleet") {
+    let mut log = trace_log(&c.traces(2), SchedMode::Coord, c.seed, 2, None, false);
+    log.meta.workload = "conform-fleet".to_string();
+    let recorded = LoopbackBackend::start(ServerConfig::default())
+        .map_err(|e| format!("recording server failed to start: {e}"))
+        .and_then(|mut server| record(&log, &mut server));
+    let log = match recorded {
         Ok(l) => l,
         Err(e) => return c.fail(format_args!("replay: {e}")),
     };

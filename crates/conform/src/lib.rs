@@ -31,8 +31,9 @@
 //!    migration identity, and hostile snapshot pushes.
 //!
 //! Stages 2 and 4–8 share one differential engine,
-//! [`copred_replay::run_ab`]: each case builds a log (recorded with
-//! [`copred_replay::record`] or assembled with
+//! [`copred_replay::run_ab`]: each case builds a log (a planner op
+//! stream from [`copred_replay::trace_log`] recorded with
+//! [`copred_replay::record`], or assembled with
 //! [`copred_replay::unrecorded_log`]), names its arms, and adds only its
 //! stage-specific checks on the outcome. Every case's
 //! workload comes from one table of per-stage trace blocks and seeds, so

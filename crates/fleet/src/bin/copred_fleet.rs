@@ -154,7 +154,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     println!(
         "fleet({n})       identical ({} ops, {} checks)",
         ab.first().out.ops,
-        ab.first().out.checks
+        ab.first().out.totals.checks
     );
     println!("determinism    identical (double replay)");
     println!("verify         PASS");

@@ -6,8 +6,8 @@
 
 use copred_fleet::{FleetBackend, SessionLedger};
 use copred_replay::{
-    run_ab, run_replay, unrecorded_log, Arm, Differential, InProcessBackend, ReplayBackend,
-    ReplayLog, ReplayOptions,
+    record, run_ab, unrecorded_log, Arm, Differential, InProcessBackend, ReplayBackend, ReplayLog,
+    ReplayOptions,
 };
 use copred_service::protocol::{Request, Response, SchedMode};
 use copred_trace::MotionTrace;
@@ -139,8 +139,8 @@ fn close_gossip_warms_survivors_for_the_next_session() {
 
 #[test]
 fn fleet_replays_a_log_identically_to_a_single_node() {
-    // Recorded the usual way: synthesize requests, harvest responses
-    // from a single default node, call that the recording.
+    // Recorded the usual way: synthesize requests and record them on a
+    // single default node.
     let mut requests: Vec<(u64, Request)> = Vec::new();
     for token in 0..3u64 {
         requests.push((
@@ -165,20 +165,12 @@ fn fleet_replays_a_log_identically_to_a_single_node() {
         }
         requests.push((token, Request::Close { session: token }));
     }
-    let mut log = unrecorded_log(requests);
-    let harvest = run_replay(
-        &log,
+    let log = record(
+        &unrecorded_log(requests),
         &mut InProcessBackend::with_server_defaults(),
-        &ReplayOptions {
-            compare: false,
-            ..ReplayOptions::default()
-        },
     )
-    .expect("harvest");
-    assert_eq!(harvest.backend_errors, 0);
-    for (rec, resp) in log.records.iter_mut().zip(&harvest.responses) {
-        rec.response = resp.clone();
-    }
+    .expect("record");
+    assert!(log.records.iter().all(|r| r.status == "ok"));
 
     let mut single = InProcessBackend::with_server_defaults();
     let mut fleet = FleetBackend::start(2).expect("start fleet");

@@ -19,16 +19,16 @@
 //! The conformance stages, the `verify` gates of `copred_replay` and
 //! `copred_fleet`, and both `ab` commands are each one call into this
 //! engine; stage-specific invariants are small checks on the returned
-//! outcome. [`record`] produces the log those callers replay, and
-//! [`ab_report`] rolls an outcome into a `bench_json` report (the schema
-//! `copred-perfwatch` tracks over time).
+//! outcome. [`trace_log`] builds a planner workload's op stream as data,
+//! [`record`] turns one pass over a log into the recording those callers
+//! replay, and [`ab_report`] rolls an outcome into a `bench_json` report
+//! (the schema `copred-perfwatch` tracks over time).
 
 use crate::backend::ReplayBackend;
 use crate::engine::{run_replay, Ledger, ReplayError, ReplayOptions, ReplayOutcome};
 use crate::format::{read_log, write_log, LogMeta, LogRecord, ReplayLog};
-use copred_obs::{BenchRecord, BenchReport, Better};
-use copred_service::protocol::{Request, Response};
-use copred_service::{run_loadgen, LoadgenConfig, Server, ServerConfig};
+use copred_obs::{BenchRecord, BenchReport, Better, TraceId};
+use copred_service::protocol::{Request, Response, SchedMode};
 use copred_trace::QueryTrace;
 
 /// One backend under test and the options its pass runs with.
@@ -223,11 +223,10 @@ impl AbOutcome {
                     p.out.mismatches.len() - 3
                 ));
             }
-            if p.out.totals() != self.recorded_totals {
+            if p.out.totals != self.recorded_totals {
                 failures.push(format!(
                     "{label}: replay aggregates {:?} != recorded {:?}",
-                    p.out.totals(),
-                    self.recorded_totals
+                    p.out.totals, self.recorded_totals
                 ));
             }
             if let Some(ledgers) = &p.ledgers {
@@ -265,51 +264,93 @@ impl AbOutcome {
     }
 }
 
-/// Records a live run as a CPRDLOG: starts a server from `server` on an
-/// ephemeral loopback port, drives `traces` through a single-connection
-/// loadgen configured by `lg` (one connection keeps the recorded op
-/// order total, so the log is a complete serialization of the run),
-/// encodes the ops, and reads the bytes back — callers replay the byte
-/// artifact, not the in-memory records.
+/// Records `log` on `backend`: one sequential pass with comparison off,
+/// whose live answers become the recording
+/// ([`ReplayOutcome::recording`]). The recording is encoded as CPRDLOG
+/// and read back, so callers replay the byte artifact, not the in-memory
+/// records. Ops the backend answered with an error are recorded with
+/// status `err`.
 ///
 /// # Errors
 ///
-/// Server start, loadgen, or round-trip failures, as a reason string.
-pub fn record(
-    server: ServerConfig,
-    lg: LoadgenConfig,
-    traces: &[QueryTrace],
-    workload: &str,
-) -> Result<ReplayLog, String> {
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..server
-    })
-    .map_err(|e| format!("recording server failed to start: {e}"))?;
-    let lg = LoadgenConfig {
-        addr: server.local_addr().to_string(),
-        connections: 1,
-        ..lg
+/// A failed pass or a failed round-trip, as a reason string.
+pub fn record(log: &ReplayLog, backend: &mut dyn ReplayBackend) -> Result<ReplayLog, String> {
+    let opts = ReplayOptions {
+        compare: false,
+        ..ReplayOptions::default()
     };
-    let report = run_loadgen(&lg, traces).map_err(|e| format!("recording run failed: {e}"))?;
-    let meta = LogMeta {
-        seed: lg.seed,
-        fingerprint: 0,
-        robot: traces.first().map_or("", |t| &t.robot_name).to_string(),
-        workload: workload.to_string(),
-        scale: format!("traces={} batch={}", traces.len(), lg.batch),
-    };
-    let log = read_log(&write_log(&meta, &report.ops))
+    let out = run_replay(log, backend, &opts).map_err(|e| format!("recording run failed: {e}"))?;
+    let recording = out.recording(log);
+    let back = read_log(&write_log(&recording.meta, &recording.records))
         .map_err(|e| format!("own recording failed to parse: {e}"))?;
-    if !log.complete || log.records.len() != report.ops.len() {
+    if !back.complete || back.records.len() != recording.records.len() {
         return Err(format!(
             "log round-trip lost records: {} of {} (complete: {})",
-            log.records.len(),
-            report.ops.len(),
-            log.complete
+            back.records.len(),
+            recording.records.len(),
+            back.complete
         ));
     }
-    Ok(log)
+    Ok(back)
+}
+
+/// The op stream a planner workload sends, as data. Per trace `i`: an
+/// `open` whose seed is `seed ^ ((i + 1) * 0x9E37_79B9_7F4A_7C15)` and
+/// whose fingerprint is `fingerprints[i]` (when given); one `check_motion`
+/// per `batch` motions, batch `b` carrying `TraceId::derive(session
+/// seed, b)` when `trace_ids` is on; then a `close`. Session keys are
+/// `i + 1`, the ids a fresh server hands out in open order, so these are
+/// byte for byte the requests one connection makes against a fresh
+/// server. The header carries `seed`, the first trace's robot, the XOR
+/// fold of the fingerprints, and `traces=N batch=B`.
+///
+/// # Panics
+///
+/// Panics when `batch` is zero.
+pub fn trace_log(
+    traces: &[QueryTrace],
+    mode: SchedMode,
+    seed: u64,
+    batch: usize,
+    fingerprints: Option<&[u64]>,
+    trace_ids: bool,
+) -> ReplayLog {
+    assert!(batch > 0, "need a positive batch size");
+    let mut ops = Vec::new();
+    for (i, trace) in traces.iter().enumerate() {
+        let session = i as u64 + 1;
+        let session_seed = seed ^ session.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ops.push((
+            session,
+            Request::Open {
+                robot: trace.robot_name.clone(),
+                link_count: trace.link_count,
+                mode,
+                seed: session_seed,
+                fp: fingerprints.and_then(|fps| fps.get(i).copied()),
+            },
+        ));
+        for (b, motions) in trace.motions.chunks(batch).enumerate() {
+            ops.push((
+                session,
+                Request::CheckMotion {
+                    session,
+                    motions: motions.to_vec(),
+                    trace: trace_ids.then(|| TraceId::derive(session_seed, b as u64)),
+                },
+            ));
+        }
+        ops.push((session, Request::Close { session }));
+    }
+    let mut log = unrecorded_log(ops);
+    log.meta = LogMeta {
+        seed,
+        fingerprint: fingerprints.map_or(0, |fps| fps.iter().fold(0, |acc, fp| acc ^ fp)),
+        robot: traces.first().map_or("", |t| &t.robot_name).to_string(),
+        workload: String::new(),
+        scale: format!("traces={} batch={batch}", traces.len()),
+    };
+    log
 }
 
 /// A log of requests nobody recorded: every op's response is empty, so
@@ -346,18 +387,24 @@ pub fn unrecorded_log(ops: Vec<(u64, Request)>) -> ReplayLog {
 fn side_records(out: &ReplayOutcome, suite: &str) -> Vec<BenchRecord> {
     vec![
         BenchRecord::deterministic(suite, "ops", out.ops as f64, "ops", Better::Higher),
-        BenchRecord::deterministic(suite, "checks", out.checks as f64, "checks", Better::Higher),
+        BenchRecord::deterministic(
+            suite,
+            "checks",
+            out.totals.checks as f64,
+            "checks",
+            Better::Higher,
+        ),
         BenchRecord::deterministic(
             suite,
             "collisions",
-            out.collisions as f64,
+            out.totals.collisions as f64,
             "checks",
             Better::Lower,
         ),
         BenchRecord::deterministic(
             suite,
             "cdqs_issued",
-            out.cdqs_issued as f64,
+            out.totals.cdqs_issued as f64,
             "cdqs",
             Better::Lower,
         ),
@@ -436,7 +483,8 @@ pub fn ab_report(log: &ReplayLog, ab: &AbOutcome, label: &str) -> BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::InProcessBackend;
+    use crate::backend::{InProcessBackend, LoopbackBackend};
+    use copred_service::ServerConfig;
 
     /// A recorded workload with real check ops: a default server answers
     /// two short query traces.
@@ -464,17 +512,9 @@ mod tests {
                 }
             })
             .collect();
-        record(
-            ServerConfig::default(),
-            LoadgenConfig {
-                seed: 9,
-                batch: 2,
-                ..LoadgenConfig::default()
-            },
-            &traces,
-            "ab-test",
-        )
-        .expect("record")
+        let log = trace_log(&traces, SchedMode::Coord, 9, 2, None, false);
+        let mut server = LoopbackBackend::start(ServerConfig::default()).expect("start server");
+        record(&log, &mut server).expect("record")
     }
 
     #[test]

@@ -215,12 +215,13 @@ impl ReplayBackend for InProcessBackend {
 
 /// Replays over TCP against a `copred_server` — either one this backend
 /// starts and owns (loopback) or an external address. Absorbs
-/// `retry_after` backpressure by sleeping as told, like the recorder's
-/// client did.
+/// `retry_after` backpressure by sleeping as told, and counts the rounds
+/// it absorbed.
 pub struct LoopbackBackend {
     server: Option<Server>,
     client: ServiceClient,
     max_retries: usize,
+    retries: u64,
     label: String,
 }
 
@@ -238,6 +239,7 @@ impl LoopbackBackend {
             server: Some(server),
             client,
             max_retries: 64,
+            retries: 0,
             label: "loopback".to_string(),
         })
     }
@@ -252,6 +254,7 @@ impl LoopbackBackend {
             server: None,
             client: ServiceClient::connect(addr)?,
             max_retries: 64,
+            retries: 0,
             label: "loopback".to_string(),
         })
     }
@@ -266,6 +269,11 @@ impl LoopbackBackend {
     /// The owned server, when this backend started one.
     pub fn server(&self) -> Option<&Server> {
         self.server.as_ref()
+    }
+
+    /// `retry_after` rounds this backend absorbed so far.
+    pub fn retries(&self) -> u64 {
+        self.retries
     }
 }
 
@@ -283,6 +291,7 @@ impl ReplayBackend for LoopbackBackend {
                         return Err(format!("backpressured {retries} times: {message}"));
                     }
                     retries += 1;
+                    self.retries += 1;
                     std::thread::sleep(std::time::Duration::from_millis(ms.max(1)));
                 }
                 Ok(resp) => return Ok(resp),

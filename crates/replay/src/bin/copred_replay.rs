@@ -182,8 +182,13 @@ fn run_report(
     let suite = "replay";
     for (metric, value, unit, better) in [
         ("ops", out.ops as f64, "ops", Better::Higher),
-        ("checks", out.checks as f64, "checks", Better::Higher),
-        ("cdqs_issued", out.cdqs_issued as f64, "cdqs", Better::Lower),
+        ("checks", out.totals.checks as f64, "checks", Better::Higher),
+        (
+            "cdqs_issued",
+            out.totals.cdqs_issued as f64,
+            "cdqs",
+            Better::Lower,
+        ),
         (
             "mismatches",
             out.mismatches.len() as f64,
@@ -239,7 +244,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     for arm in ab.arms.iter().filter(|a| a.label != "rerun") {
         println!(
             "{:<14} identical ({} ops, {} checks)",
-            arm.label, arm.out.ops, arm.out.checks
+            arm.label, arm.out.ops, arm.out.totals.checks
         );
     }
     if loopback.is_none() {

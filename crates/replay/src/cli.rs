@@ -102,10 +102,10 @@ pub fn load_log(flags: &Flags, require_complete: bool) -> Result<ReplayLog, Stri
 pub fn print_outcome(label: &str, out: &ReplayOutcome) {
     println!("backend        {label}");
     println!("ops            {}", out.ops);
-    println!("checks         {}", out.checks);
-    println!("collisions     {}", out.collisions);
-    println!("cdqs_issued    {}", out.cdqs_issued);
-    println!("cdqs_total     {}", out.cdqs_total);
+    println!("checks         {}", out.totals.checks);
+    println!("collisions     {}", out.totals.collisions);
+    println!("cdqs_issued    {}", out.totals.cdqs_issued);
+    println!("cdqs_total     {}", out.totals.cdqs_total);
     println!("mismatches     {}", out.mismatches.len());
     println!("backend_errors {}", out.backend_errors);
     println!("wall_s         {:.3}", out.wall_ns as f64 / 1e9);

@@ -3,13 +3,15 @@
 //! tokens to live ones and (optionally) holding every answer against the
 //! recorded one.
 //!
-//! Replay is single-threaded and issues ops in log order, so per-session
-//! request order — the only order the predictor's state depends on, since
-//! each session leases a private CHT shard — is preserved no matter how
-//! the recording interleaved connections.
+//! [`run_replay`] issues every op in log order on one backend;
+//! [`run_parallel`] deals sessions over N backends and replays each share
+//! in log order on its own thread. Both run the same per-share loop, so
+//! per-session request order — the only order the predictor's state
+//! depends on, since each session leases a private CHT shard — is
+//! preserved no matter how the recording interleaved connections.
 
 use crate::backend::ReplayBackend;
-use crate::format::ReplayLog;
+use crate::format::{LogRecord, ReplayLog};
 use copred_obs::TraceId;
 use copred_service::protocol::{CheckResult, Request, Response};
 use copred_service::replay_stats;
@@ -176,22 +178,39 @@ impl Ledger {
     }
 }
 
+impl std::ops::AddAssign for Ledger {
+    fn add_assign(&mut self, other: Ledger) {
+        self.checks += other.checks;
+        self.collisions += other.collisions;
+        self.cdqs_issued += other.cdqs_issued;
+        self.cdqs_total += other.cdqs_total;
+    }
+}
+
+/// One op as the backend answered it on a pass: what a recording keeps.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LiveOp {
+    /// Start time, nanoseconds since the pass's epoch.
+    pub start_ns: u64,
+    /// Nanoseconds spent in the backend call (for a wire backend: request
+    /// encode to parsed reply, `retry_after` rounds included).
+    pub duration_ns: u64,
+    /// The answer as wire text, trace echo included.
+    pub response: String,
+}
+
 /// What one replay pass produced.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayOutcome {
     /// Ops issued.
     pub ops: u64,
-    /// Motion checks completed.
-    pub checks: u64,
-    /// Checks that reported a collision.
-    pub collisions: u64,
-    /// CDQs the backend executed (client-side sum over results).
-    pub cdqs_issued: u64,
-    /// CDQs the replayed motions declared.
-    pub cdqs_total: u64,
+    /// Client-side sums over every check result the backend answered.
+    pub totals: Ledger,
     /// Normalized live response per op, in log order — two replays of the
     /// same log are deterministic exactly when these vectors are equal.
     pub responses: Vec<String>,
+    /// Timing and raw answer per op, in log order.
+    pub live: Vec<LiveOp>,
     /// Compared ops whose live answer differed from the recording (empty
     /// unless [`ReplayOptions::compare`]).
     pub mismatches: Vec<OpDiff>,
@@ -213,22 +232,46 @@ impl ReplayOutcome {
         self.mismatches.is_empty() && self.backend_errors == 0
     }
 
-    /// The pass's check aggregates as one [`Ledger`].
-    pub fn totals(&self) -> Ledger {
-        Ledger {
-            checks: self.checks,
-            collisions: self.collisions,
-            cdqs_issued: self.cdqs_issued,
-            cdqs_total: self.cdqs_total,
-        }
-    }
-
     /// Checks per second over the pass's wall time.
     pub fn checks_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
             return 0.0;
         }
-        self.checks as f64 * 1e9 / self.wall_ns as f64
+        self.totals.checks as f64 * 1e9 / self.wall_ns as f64
+    }
+
+    /// The log as this pass answered it: every record keeps its request
+    /// and takes the live answer (trace echo kept), start time, and
+    /// duration. Records are sorted by start time and re-indexed, so the
+    /// recording of a parallel pass keeps `start_ns` non-decreasing and
+    /// each session's op order.
+    pub fn recording(&self, log: &ReplayLog) -> ReplayLog {
+        let mut records: Vec<LogRecord> = log
+            .records
+            .iter()
+            .zip(&self.live)
+            .map(|(rec, op)| LogRecord {
+                start_ns: op.start_ns,
+                duration_ns: op.duration_ns,
+                status: if op.response.starts_with("err") {
+                    "err"
+                } else {
+                    "ok"
+                }
+                .to_string(),
+                response: op.response.clone(),
+                ..rec.clone()
+            })
+            .collect();
+        records.sort_by_key(|r| (r.start_ns, r.idx));
+        for (i, r) in records.iter_mut().enumerate() {
+            r.idx = i as u64;
+        }
+        ReplayLog {
+            meta: log.meta.clone(),
+            records,
+            complete: true,
+        }
     }
 }
 
@@ -328,11 +371,123 @@ pub fn run_replay(
     // (schedule/execute/predict) nest under this frame in profiles.
     let _replay_stage = copred_obs::stage(copred_obs::Stage::Replay);
     let epoch = Instant::now();
+    let all: Vec<usize> = (0..log.records.len()).collect();
+    let out = replay_share(log, &all, backend, opts, epoch)?;
+    Ok(finish(out, epoch))
+}
+
+/// Replays `log` over `backends` at once: the session opened `k`-th (and
+/// every later op on its key) goes to backend `k mod N`, and each backend
+/// replays its share in log order on a scoped thread, paced against one
+/// shared epoch. The shares merge into one outcome whose per-op vectors
+/// are in log order; the pass counts once in the replay counters, as
+/// [`run_replay`] does. Share threads publish no profile stage: they are
+/// client connections, so the stage profile of a process that also hosts
+/// the server stays the server's own.
+///
+/// # Errors
+///
+/// The first [`ReplayError`] in backend order; the other shares still
+/// run to their end.
+///
+/// # Panics
+///
+/// Panics when `backends` is empty.
+pub fn run_parallel<B: ReplayBackend + Send>(
+    log: &ReplayLog,
+    backends: &mut [B],
+    opts: &ReplayOptions,
+) -> Result<ReplayOutcome, ReplayError> {
+    assert!(
+        !backends.is_empty(),
+        "a parallel replay needs at least one backend"
+    );
+    let shares = deal(log, backends.len());
+    let epoch = Instant::now();
+    let passes: Vec<Result<ReplayOutcome, ReplayError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = backends
+            .iter_mut()
+            .zip(&shares)
+            .map(|(backend, share)| {
+                scope.spawn(move || replay_share(log, share, backend, opts, epoch))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("replay share panicked"))
+            .collect()
+    });
+    let n = log.records.len();
+    let mut out = ReplayOutcome {
+        responses: vec![String::new(); n],
+        live: vec![LiveOp::default(); n],
+        ..ReplayOutcome::default()
+    };
+    for (share, pass) in shares.iter().zip(passes) {
+        let pass = pass?;
+        out.ops += pass.ops;
+        out.totals += pass.totals;
+        out.backend_errors += pass.backend_errors;
+        out.lag_ns += pass.lag_ns;
+        out.mismatches.extend(pass.mismatches);
+        for ((&i, response), live) in share.iter().zip(pass.responses).zip(pass.live) {
+            out.responses[i] = response;
+            out.live[i] = live;
+        }
+    }
+    out.mismatches.sort_by_key(|d| d.idx);
+    Ok(finish(out, epoch))
+}
+
+/// Deals the log's record indices into `n` shares, each in log order:
+/// every op goes to the share of its session key's latest `open`, the
+/// `k`-th open to share `k mod n`. Ops whose key no open has named yet
+/// (global verbs, or a defect the replay reports) go to share 0.
+fn deal(log: &ReplayLog, n: usize) -> Vec<Vec<usize>> {
+    let mut shares = vec![Vec::new(); n];
+    let mut owner: HashMap<u64, usize> = HashMap::new();
+    let mut opened = 0;
+    for (i, rec) in log.records.iter().enumerate() {
+        let share = if rec.verb == "open" {
+            let share = opened % n;
+            opened += 1;
+            owner.insert(rec.session, share);
+            share
+        } else {
+            owner.get(&rec.session).copied().unwrap_or(0)
+        };
+        shares[share].push(i);
+    }
+    shares
+}
+
+/// Stamps the pass's wall time and publishes it to the replay counters.
+fn finish(mut out: ReplayOutcome, epoch: Instant) -> ReplayOutcome {
+    out.wall_ns = epoch.elapsed().as_nanos() as u64;
+    let stats = replay_stats();
+    stats.replays_run.fetch_add(1, Ordering::Relaxed);
+    stats
+        .backend_errors
+        .fetch_add(out.backend_errors, Ordering::Relaxed);
+    stats.timing_lag_ns.fetch_add(out.lag_ns, Ordering::Relaxed);
+    out
+}
+
+/// The one per-op loop: replays the records at `share` (indices into
+/// `log.records`, in log order) against `backend`, paced on the clock
+/// that started at `epoch`. The outcome's per-op vectors follow `share`.
+fn replay_share(
+    log: &ReplayLog,
+    share: &[usize],
+    backend: &mut dyn ReplayBackend,
+    opts: &ReplayOptions,
+    epoch: Instant,
+) -> Result<ReplayOutcome, ReplayError> {
     let first_ns = log.records.first().map_or(0, |r| r.start_ns);
     let mut sessions: HashMap<u64, u64> = HashMap::new();
     let mut out = ReplayOutcome::default();
 
-    for rec in &log.records {
+    for rec in share.iter().map(|&i| &log.records[i]) {
         // Pacing first: the recorded offset is the op's issue time.
         let scheduled_ns = match opts.mode {
             ReplayMode::Sequential => None,
@@ -385,24 +540,19 @@ pub fn run_replay(
             rewrite_trace(&mut req, seed, rec.idx);
         }
 
+        let issued = Instant::now();
         let resp = backend.call(&req).map_err(|reason| ReplayError::Backend {
             idx: rec.idx,
             reason,
         })?;
+        let duration_ns = issued.elapsed().as_nanos() as u64;
         out.ops += 1;
 
         match &resp {
             Response::Session { id, warm: _ } => {
                 sessions.insert(rec.session, *id);
             }
-            Response::Results { results: rs, .. } => {
-                for r in rs {
-                    out.checks += 1;
-                    out.collisions += u64::from(r.colliding);
-                    out.cdqs_issued += r.cdqs_executed;
-                    out.cdqs_total += r.cdqs_total;
-                }
-            }
+            Response::Results { results, .. } => out.totals.add(results),
             Response::Closed => {
                 sessions.remove(&rec.session);
             }
@@ -418,7 +568,8 @@ pub fn run_replay(
             | Response::SnapApplied { .. } => {}
         }
 
-        let actual = normalize_response(&resp.to_text());
+        let response = resp.to_text();
+        let actual = normalize_response(&response);
         if opts.compare && rec.verb != "stats" {
             // Stats values (latency quantiles) are non-deterministic by
             // construction; everything else must answer bit-identically.
@@ -434,22 +585,19 @@ pub fn run_replay(
             }
         }
         out.responses.push(actual);
+        out.live.push(LiveOp {
+            start_ns: issued.duration_since(epoch).as_nanos() as u64,
+            duration_ns,
+            response,
+        });
     }
-
-    out.wall_ns = epoch.elapsed().as_nanos() as u64;
-    let stats = replay_stats();
-    stats.replays_run.fetch_add(1, Ordering::Relaxed);
-    stats
-        .backend_errors
-        .fetch_add(out.backend_errors, Ordering::Relaxed);
-    stats.timing_lag_ns.fetch_add(out.lag_ns, Ordering::Relaxed);
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{LogMeta, LogRecord};
+    use crate::format::LogMeta;
 
     /// A backend that answers every request successfully and records the
     /// order it saw ops in.
@@ -651,6 +799,54 @@ mod tests {
             strip_trace_token("open baxter 7 coord 3\n"),
             "open baxter 7 coord 3\n"
         );
+    }
+
+    #[test]
+    fn parallel_shares_follow_open_order_and_merge_in_log_order() {
+        let log = mini_log();
+        let mut backends = [MockBackend::new(), MockBackend::new()];
+        let out = run_parallel(&log, &mut backends, &ReplayOptions::default()).expect("replay");
+        assert!(out.is_identical(), "mismatches: {:?}", out.mismatches);
+        // Session 7 opened first and went to backend 0, session 9 to
+        // backend 1; each backend saw its sessions' ops in log order.
+        assert_eq!(
+            backends[0].seen,
+            vec![
+                ("open".to_string(), 11),
+                ("reset".to_string(), 101),
+                ("close".to_string(), 101),
+            ]
+        );
+        assert_eq!(
+            backends[1].seen,
+            vec![("open".to_string(), 12), ("close".to_string(), 101)]
+        );
+        let sequential =
+            run_replay(&log, &mut MockBackend::new(), &ReplayOptions::default()).expect("replay");
+        assert_eq!(out.ops, sequential.ops);
+        assert_eq!(out.responses, sequential.responses);
+        assert_eq!(out.live.len(), log.records.len());
+    }
+
+    #[test]
+    fn recording_takes_live_answers_and_keeps_requests() {
+        let log = mini_log();
+        let out =
+            run_replay(&log, &mut MockBackend::new(), &ReplayOptions::default()).expect("replay");
+        let rec = out.recording(&log);
+        assert_eq!(rec.records.len(), log.records.len());
+        for (i, (r, orig)) in rec.records.iter().zip(&log.records).enumerate() {
+            assert_eq!(r.idx, i as u64);
+            assert_eq!(r.request, orig.request);
+            assert_eq!(r.session, orig.session);
+            assert_eq!(r.status, "ok");
+        }
+        // The raw answer, live token and all — not the normalized form.
+        assert_eq!(rec.records[0].response, "ok session 101 warm 0\n");
+        assert!(rec
+            .records
+            .windows(2)
+            .all(|w| w[0].start_ns <= w[1].start_ns));
     }
 
     #[test]

@@ -56,9 +56,34 @@ pub struct LogMeta {
     pub scale: String,
 }
 
-/// One recorded wire operation. The struct lives next to the load
-/// generator that produces it; CPRDLOG is its only serialization.
-pub use copred_service::LogRecord;
+/// One recorded wire operation: the full request and (final) response
+/// payload text plus the timing envelope — everything needed to send
+/// the op again and check the answer bit-for-bit. This is the one op record in
+/// the workspace; CPRDLOG is its only serialization.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogRecord {
+    /// Record index in log order.
+    pub idx: u64,
+    /// Log-local session key; replays remap it to the live token.
+    pub session: u64,
+    /// Start time as nanoseconds since the run epoch; monotonically
+    /// non-decreasing across the log.
+    pub start_ns: u64,
+    /// Wall time from write to parsed reply.
+    pub duration_ns: u64,
+    /// Wire verb (`open`, `check_motion`, `close`, ...).
+    pub verb: String,
+    /// Recorded outcome (`ok`, `err`).
+    pub status: String,
+    /// Recorder session tag, e.g. `session2` — a label for reports, stable
+    /// across replays where the server-assigned token is not.
+    pub tag: String,
+    /// Request payload text as sent on the wire.
+    pub request: String,
+    /// Response payload text as received (final reply after any
+    /// `retry_after` rounds).
+    pub response: String,
+}
 
 /// Why a log failed to read. Truncation is *not* here — a torn tail
 /// yields an `Ok` prefix with [`ReplayLog::complete`] `== false`.

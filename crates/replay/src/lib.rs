@@ -14,7 +14,9 @@
 //! The engine ([`engine`]) drives a log against any
 //! [`backend::ReplayBackend`] in three modes: `sequential` (as fast as
 //! possible), `timing` (faithful to recorded inter-op gaps, wall or
-//! virtual clock), and `scaled` (gaps divided by a speed factor).
+//! virtual clock), and `scaled` (gaps divided by a speed factor) — on one
+//! backend ([`run_replay`]) or with sessions dealt over N backends, each
+//! session's ops kept in log order ([`run_parallel`]).
 //! Because session tokens are server-assigned, the engine remaps
 //! recorded tokens to live ones on the fly; with comparison on, every
 //! live answer is held against the recorded one (open responses
@@ -26,8 +28,9 @@
 //! divergences from the recording, between backends, across a
 //! determinism re-run, and in the per-session metrics ledgers collected
 //! in one outcome (and rolled into a `bench_json` report on request).
-//! Its [`record`] helper turns a live single-connection loadgen run into
-//! a log.
+//! [`trace_log`] builds a planner workload's op stream as data (the
+//! stream `copred_loadgen` drives), and [`record`] takes one pass's live
+//! answers, timings included, as the recording.
 //!
 //! ## Format stability
 //!
@@ -46,11 +49,13 @@ pub mod cli;
 pub mod engine;
 pub mod format;
 
-pub use ab::{ab_report, record, run_ab, unrecorded_log, AbOutcome, Arm, ArmOutcome, Differential};
+pub use ab::{
+    ab_report, record, run_ab, trace_log, unrecorded_log, AbOutcome, Arm, ArmOutcome, Differential,
+};
 pub use backend::{InProcessBackend, LoopbackBackend, ReplayBackend};
 pub use engine::{
-    normalize_response, run_replay, strip_trace_token, Clock, Ledger, OpDiff, ReplayError,
-    ReplayMode, ReplayOptions, ReplayOutcome,
+    normalize_response, run_parallel, run_replay, strip_trace_token, Clock, Ledger, LiveOp, OpDiff,
+    ReplayError, ReplayMode, ReplayOptions, ReplayOutcome,
 };
 pub use format::{
     read_log, read_log_file, write_log, LogMeta, LogRecord, LogWriter, ReplayLog, ReplayLogError,

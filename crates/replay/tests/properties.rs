@@ -6,8 +6,8 @@
 
 use copred_replay::format::{encode_header, encode_record, read_log, write_log};
 use copred_replay::{
-    run_ab, run_replay, unrecorded_log, Arm, Clock, Differential, InProcessBackend, LogMeta,
-    LogRecord, ReplayLog, ReplayLogError, ReplayMode, ReplayOptions,
+    record, run_ab, run_replay, unrecorded_log, Arm, Clock, Differential, InProcessBackend,
+    LogMeta, LogRecord, ReplayLog, ReplayLogError, ReplayMode, ReplayOptions,
 };
 use copred_service::protocol::{Request, Response, SchedMode};
 use copred_store::crc::{crc32, crc32_update, CRC32_INIT};
@@ -139,10 +139,9 @@ proptest! {
     }
 }
 
-/// Builds a replayable log the way the recorder would, without a live
-/// server: synthesize the requests, replay them once (comparison off)
-/// against a default in-process backend, and write the harvested
-/// responses back as the "recording".
+/// Builds a replayable log the way the recorder does, without a live
+/// server: synthesize the requests and record them on a default
+/// in-process backend.
 fn recorded_log(seed: u64) -> ReplayLog {
     let mut requests: Vec<(u64, Request)> = Vec::new();
     for trace in 0..2u64 {
@@ -175,17 +174,11 @@ fn recorded_log(seed: u64) -> ReplayLog {
     }
     let mut log = unrecorded_log(requests);
     log.meta.seed = seed;
-    let mut backend = InProcessBackend::with_server_defaults();
-    let opts = ReplayOptions {
-        mode: ReplayMode::Sequential,
-        compare: false,
-        trace_seed: None,
-    };
-    let harvest = run_replay(&log, &mut backend, &opts).expect("harvest replay");
-    assert_eq!(harvest.backend_errors, 0, "harvest must succeed cleanly");
-    for (rec, resp) in log.records.iter_mut().zip(&harvest.responses) {
-        rec.response.clone_from(resp);
-    }
+    let log = record(&log, &mut InProcessBackend::with_server_defaults()).expect("record");
+    assert!(
+        log.records.iter().all(|r| r.status == "ok"),
+        "harvest must succeed cleanly"
+    );
     log
 }
 

@@ -1,5 +1,6 @@
-//! A small blocking client for the copred service, used by the load
-//! generator, the integration tests, and the `copred_loadgen` binary.
+//! A small blocking client for the copred service, used by the
+//! integration tests and by `copred-replay`'s loopback backend (which
+//! `copred_loadgen` drives, one client per connection).
 
 use crate::protocol::{CheckResult, Request, Response, SchedMode};
 use copred_obs::TraceId;

@@ -23,15 +23,13 @@
 //!   per-session bounded queues.
 //! - [`server`] — accept loop, per-connection handlers, and the FIFO
 //!   admission gate with explicit backpressure (`err retry_after`).
-//! - [`client`] — a small blocking client used by tests and the load
-//!   generator.
-//! - [`loadgen`] — closed-/open-loop load generation over captured
-//!   [`copred_trace::QueryTrace`] workloads. Every wire op is recorded as
-//!   a [`LogRecord`] with its full request/response payloads; the
-//!   `copred-replay` crate writes those records as a CPRDLOG op-log.
+//! - [`client`] — a small blocking client for tests and replay backends.
+//!
+//! Load generation lives outside this crate: `copred-replay` builds a
+//! planner workload's op stream as data, drives it over N client
+//! connections, and records it as a CPRDLOG op-log (`copred_loadgen`).
 
 pub mod client;
-pub mod loadgen;
 pub mod metrics;
 pub mod prom;
 pub mod protocol;
@@ -39,9 +37,6 @@ pub mod server;
 pub mod session;
 
 pub use client::ServiceClient;
-pub use loadgen::{
-    run_loadgen, write_stats_tsv, LoadgenConfig, LoadgenReport, LogRecord, Pacing, StatsSnapshot,
-};
 pub use metrics::{LatencyHistogram, Metrics, SessionMetrics};
 pub use prom::{
     fleet_stats, render_prometheus, replay_stats, FleetStats, ReplayStats, FLEET_COUNTERS,

@@ -1,4 +1,4 @@
-//! The PR-8 acceptance workflow, end to end: a seeded traced loadgen run
+//! The tracing acceptance workflow, end to end: a seeded traced run
 //! must surface at least one exemplar on `/metrics`, and that exemplar's
 //! trace id must resolve — through the `dump` op's trace-dump artifacts
 //! and the `/debug/flight` endpoint — to a Chrome trace carrying the full
@@ -11,24 +11,28 @@
 mod common;
 
 use common::synthetic_traces;
-use copred_obs::{http_get, parse_prometheus};
+use copred_obs::{http_get, parse_prometheus, TraceId};
 use copred_service::protocol::SchedMode;
-use copred_service::{run_loadgen, LoadgenConfig, Pacing, Server, ServerConfig, ServiceClient};
+use copred_service::{Server, ServerConfig, ServiceClient};
+use copred_trace::QueryTrace;
 use std::sync::atomic::Ordering;
 
-fn loadgen_config(addr: std::net::SocketAddr) -> LoadgenConfig {
-    LoadgenConfig {
-        addr: addr.to_string(),
-        connections: 1,
-        mode: SchedMode::Coord,
-        seed: 11,
-        pacing: Pacing::Closed,
-        batch: 4,
-        max_retries: 256,
-        metrics_interval: None,
-        fingerprints: None,
-        trace_ids: true,
-        stats_tsv: None,
+/// Checks every trace as one session on one connection, in batches of 4;
+/// batch `b` of trace `i` carries a trace id derived from the session
+/// seed and `b`, and the client verifies the server's echo.
+fn run_traced(addr: std::net::SocketAddr, traces: &[QueryTrace]) {
+    let mut c = ServiceClient::connect(addr).expect("connect");
+    for (i, t) in traces.iter().enumerate() {
+        let seed = 11 ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let session = c
+            .open(&t.robot_name, t.link_count, SchedMode::Coord, seed)
+            .expect("open");
+        for (b, batch) in t.motions.chunks(4).enumerate() {
+            let trace = Some(TraceId::derive(seed, b as u64));
+            c.check_motions_traced(session, batch, 256, trace)
+                .expect("traced check");
+        }
+        c.close(session).expect("close");
     }
 }
 
@@ -52,7 +56,7 @@ fn exemplar_trace_id_resolves_to_full_span_chain() {
     let metrics_addr = server.metrics_addr().expect("metrics endpoint");
 
     let traces = synthetic_traces(4, 12, 7);
-    run_loadgen(&loadgen_config(server.local_addr()), &traces).expect("traced loadgen run");
+    run_traced(server.local_addr(), &traces);
 
     // --- /metrics: the latency summary must carry >= 1 exemplar whose
     // trace id came from this run.
@@ -142,7 +146,7 @@ fn latency_threshold_fires_auto_dump() {
     .expect("start server");
 
     let traces = synthetic_traces(1, 4, 9);
-    run_loadgen(&loadgen_config(server.local_addr()), &traces).expect("loadgen run");
+    run_traced(server.local_addr(), &traces);
 
     let auto = server.metrics().flight_auto_dumps.load(Ordering::Relaxed);
     assert!(auto >= 1, "threshold must fire at least one auto dump");
