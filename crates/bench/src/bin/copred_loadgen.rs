@@ -14,8 +14,8 @@
 //!   connections=8         concurrent client connections
 //!   mode=coord            coord | naive | csp
 //!   batch=8               motions per CHECK_MOTION frame
-//!   seed=42               capture + replay seed (deterministic; when
-//!                         not given, sessions replay with seed 1)
+//!   seed=42               capture seed and base seed of the sessions'
+//!                         U-policy streams (deterministic)
 //!   oplog=oplog.cprlog    CPRDLOG op-log output path ("-" to skip)
 //!   bench_json=bench.json also write the run summary as a perfwatch
 //!                         BENCH-schema JSON report (see `copred_bench`)
@@ -78,10 +78,8 @@ struct Args {
     connections: usize,
     mode: SchedMode,
     batch: usize,
+    /// Capture seed, and base seed of the sessions' `U`-policy streams.
     seed: u64,
-    /// Base seed of the sessions' `U`-policy streams: `seed=` sets it
-    /// together with the capture seed, otherwise it stays 1.
-    session_seed: u64,
     oplog: String,
     bench_json: Option<String>,
     trace_ids: bool,
@@ -109,7 +107,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
         mode: SchedMode::Coord,
         batch: 8,
         seed: 42,
-        session_seed: 1,
         oplog: "oplog.cprlog".to_string(),
         bench_json: None,
         trace_ids: true,
@@ -149,10 +146,7 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
                     .ok_or_else(|| format!("bad mode '{value}' (coord|naive|csp)"))?;
             }
             "batch" => args.batch = num()? as usize,
-            "seed" => {
-                args.seed = num()?;
-                args.session_seed = args.seed;
-            }
+            "seed" => args.seed = num()?,
             "oplog" => args.oplog = value.to_string(),
             "bench_json" => args.bench_json = Some(value.to_string()),
             "traceids" => args.trace_ids = value == "1" || value == "true",
@@ -451,7 +445,7 @@ fn main() {
         let mut log = trace_log(
             &traces,
             args.mode,
-            args.session_seed,
+            args.seed,
             args.batch,
             fingerprints.as_deref(),
             trace_ids,
@@ -745,6 +739,11 @@ mod tests {
         let args = parse_args_from(strs(&["seed=9", "warm=1", "queries=3"]))
             .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(args.seed, 9);
+        let defaults = parse_args_from(strs(&[])).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(
+            defaults.seed, 42,
+            "one default seed, for capture and sessions"
+        );
         assert_eq!(args.queries, 3);
         assert!(args.warm && args.inproc, "warm=1 implies inproc");
         let err = parse_err(&["ab_budget=5"]);

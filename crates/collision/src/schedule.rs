@@ -64,6 +64,27 @@ pub struct MotionCheckOutcome {
     pub obstacle_tests: usize,
 }
 
+impl MotionCheckOutcome {
+    /// No CDQ executed yet, out of `total`.
+    fn none_of(total: usize) -> Self {
+        MotionCheckOutcome {
+            colliding: false,
+            cdqs_executed: 0,
+            cdqs_total: total,
+            obstacle_tests: 0,
+        }
+    }
+
+    /// Counts `cdq` as executed; returns whether it collides, which
+    /// resolves the check under early exit.
+    fn execute(&mut self, cdq: &CdqInfo) -> bool {
+        self.cdqs_executed += 1;
+        self.obstacle_tests += cdq.obstacle_tests;
+        self.colliding = cdq.colliding;
+        cdq.colliding
+    }
+}
+
 /// Applies `schedule` to a pre-enumerated CDQ list (pose-major order as
 /// produced by [`crate::enumerate_motion_cdqs`]) and simulates early-exit
 /// execution.
@@ -71,23 +92,17 @@ pub struct MotionCheckOutcome {
 /// `n_poses` is the number of sample poses; each pose contributes a
 /// contiguous block of CDQs in `cdqs`.
 pub fn run_schedule(cdqs: &[CdqInfo], n_poses: usize, schedule: Schedule) -> MotionCheckOutcome {
-    let total = cdqs.len();
-    let colliding = cdqs.iter().any(|c| c.colliding);
     match schedule {
-        Schedule::Oracle => {
-            if colliding {
-                // One CDQ — the oracle executes a known-colliding query.
-                let hit = cdqs.iter().find(|c| c.colliding).expect("colliding CDQ");
-                MotionCheckOutcome {
-                    colliding: true,
-                    cdqs_executed: 1,
-                    cdqs_total: total,
-                    obstacle_tests: hit.obstacle_tests,
-                }
-            } else {
-                exhaust_all(cdqs)
+        // One CDQ for a colliding motion — the oracle executes a
+        // known-colliding query — and every CDQ for a free one.
+        Schedule::Oracle => match cdqs.iter().find(|c| c.colliding) {
+            Some(hit) => {
+                let mut out = MotionCheckOutcome::none_of(cdqs.len());
+                out.execute(hit);
+                out
             }
-        }
+            None => execute_order(cdqs, 0..cdqs.len()),
+        },
         Schedule::Naive => execute_order(cdqs, pose_order_indices(cdqs, n_poses, 1)),
         Schedule::Csp { step } => execute_order(cdqs, pose_order_indices(cdqs, n_poses, step)),
         Schedule::Speculative { depth } => {
@@ -98,30 +113,18 @@ pub fn run_schedule(cdqs: &[CdqInfo], n_poses: usize, schedule: Schedule) -> Mot
 
 /// Early exit only between batches of `depth` in-flight CDQs (speculation).
 fn execute_batched(cdqs: &[CdqInfo], order: Vec<usize>, depth: usize) -> MotionCheckOutcome {
-    let mut executed = 0;
-    let mut tests = 0;
+    let mut out = MotionCheckOutcome::none_of(cdqs.len());
     for batch in order.chunks(depth) {
         let mut hit = false;
         for &i in batch {
-            executed += 1;
-            tests += cdqs[i].obstacle_tests;
-            hit |= cdqs[i].colliding;
+            hit |= out.execute(&cdqs[i]);
         }
         if hit {
-            return MotionCheckOutcome {
-                colliding: true,
-                cdqs_executed: executed,
-                cdqs_total: cdqs.len(),
-                obstacle_tests: tests,
-            };
+            out.colliding = true;
+            return out;
         }
     }
-    MotionCheckOutcome {
-        colliding: false,
-        cdqs_executed: executed,
-        cdqs_total: cdqs.len(),
-        obstacle_tests: tests,
-    }
+    out
 }
 
 /// Builds the CDQ visit order for a pose-level stride: poses visited in
@@ -142,36 +145,14 @@ fn pose_order_indices(cdqs: &[CdqInfo], n_poses: usize, step: usize) -> Vec<usiz
     order
 }
 
-fn execute_order(cdqs: &[CdqInfo], order: Vec<usize>) -> MotionCheckOutcome {
-    let mut executed = 0;
-    let mut tests = 0;
+fn execute_order(cdqs: &[CdqInfo], order: impl IntoIterator<Item = usize>) -> MotionCheckOutcome {
+    let mut out = MotionCheckOutcome::none_of(cdqs.len());
     for i in order {
-        executed += 1;
-        tests += cdqs[i].obstacle_tests;
-        if cdqs[i].colliding {
-            return MotionCheckOutcome {
-                colliding: true,
-                cdqs_executed: executed,
-                cdqs_total: cdqs.len(),
-                obstacle_tests: tests,
-            };
+        if out.execute(&cdqs[i]) {
+            break;
         }
     }
-    MotionCheckOutcome {
-        colliding: false,
-        cdqs_executed: executed,
-        cdqs_total: cdqs.len(),
-        obstacle_tests: tests,
-    }
-}
-
-fn exhaust_all(cdqs: &[CdqInfo]) -> MotionCheckOutcome {
-    MotionCheckOutcome {
-        colliding: false,
-        cdqs_executed: cdqs.len(),
-        cdqs_total: cdqs.len(),
-        obstacle_tests: cdqs.iter().map(|c| c.obstacle_tests).sum(),
-    }
+    out
 }
 
 /// A stateful CDQ-level collision predictor driving
@@ -179,11 +160,19 @@ fn exhaust_all(cdqs: &[CdqInfo]) -> MotionCheckOutcome {
 /// lookup/update pair (Algorithm 1), decoupled from any concrete hash or
 /// table so replay harnesses and servers can plug in shared, per-session,
 /// or mock predictors.
+///
+/// Each call carries `idx`, the CDQ's position in the slice the schedule
+/// runs over, so a predictor can keep per-CDQ state in plain arrays sized
+/// by that slice. Positions are unique even when two CDQs share a
+/// `(pose_idx, link_idx)` pair, and `link_idx` is never a safe array size:
+/// it arrives from the wire unchecked.
 pub trait CdqPredictor {
-    /// Predicts whether `cdq` will collide.
-    fn predict(&mut self, cdq: &CdqInfo) -> bool;
-    /// Records an executed CDQ's ground-truth outcome.
-    fn observe(&mut self, cdq: &CdqInfo, colliding: bool);
+    /// Predicts whether `cdq`, at position `idx` of the schedule's CDQ
+    /// slice, will collide.
+    fn predict(&mut self, idx: usize, cdq: &CdqInfo) -> bool;
+    /// Records the ground-truth outcome of the executed CDQ at position
+    /// `idx`.
+    fn observe(&mut self, idx: usize, cdq: &CdqInfo, colliding: bool);
 }
 
 /// Algorithm 1 over a pre-enumerated CDQ list: the predictor-ordered
@@ -206,49 +195,27 @@ pub fn run_predicted_schedule(
     csp_step: usize,
     predictor: &mut dyn CdqPredictor,
 ) -> MotionCheckOutcome {
-    let total = cdqs.len();
-    let mut executed = 0usize;
-    let mut tests = 0usize;
-    let mut queue: Vec<usize> = Vec::new();
-    let order = pose_order_indices(cdqs, n_poses, csp_step.max(1));
-    for i in order {
+    let mut out = MotionCheckOutcome::none_of(cdqs.len());
+    let mut queue: Vec<usize> = Vec::with_capacity(cdqs.len());
+    for i in pose_order_indices(cdqs, n_poses, csp_step.max(1)) {
         let cdq = &cdqs[i];
-        if predictor.predict(cdq) {
-            executed += 1;
-            tests += cdq.obstacle_tests;
-            predictor.observe(cdq, cdq.colliding);
-            if cdq.colliding {
-                return MotionCheckOutcome {
-                    colliding: true,
-                    cdqs_executed: executed,
-                    cdqs_total: total,
-                    obstacle_tests: tests,
-                };
-            }
-        } else {
+        if !predictor.predict(i, cdq) {
             queue.push(i);
+            continue;
+        }
+        predictor.observe(i, cdq, cdq.colliding);
+        if out.execute(cdq) {
+            return out;
         }
     }
     for i in queue {
         let cdq = &cdqs[i];
-        executed += 1;
-        tests += cdq.obstacle_tests;
-        predictor.observe(cdq, cdq.colliding);
-        if cdq.colliding {
-            return MotionCheckOutcome {
-                colliding: true,
-                cdqs_executed: executed,
-                cdqs_total: total,
-                obstacle_tests: tests,
-            };
+        predictor.observe(i, cdq, cdq.colliding);
+        if out.execute(cdq) {
+            return out;
         }
     }
-    MotionCheckOutcome {
-        colliding: false,
-        cdqs_executed: executed,
-        cdqs_total: total,
-        obstacle_tests: tests,
-    }
+    out
 }
 
 /// Convenience: discretize, enumerate, and run one scheduled motion check.
@@ -521,10 +488,10 @@ mod tests {
     }
 
     impl CdqPredictor for FixedPredictor {
-        fn predict(&mut self, cdq: &CdqInfo) -> bool {
+        fn predict(&mut self, _idx: usize, cdq: &CdqInfo) -> bool {
             self.hot.contains(&cdq.pose_idx)
         }
-        fn observe(&mut self, _cdq: &CdqInfo, _colliding: bool) {
+        fn observe(&mut self, _idx: usize, _cdq: &CdqInfo, _colliding: bool) {
             self.observed += 1;
         }
     }

@@ -66,11 +66,11 @@ impl<F: FnMut(&CdqInfo) -> bool> RecordingPredictor<F> {
 }
 
 impl<F: FnMut(&CdqInfo) -> bool> CdqPredictor for RecordingPredictor<F> {
-    fn predict(&mut self, cdq: &CdqInfo) -> bool {
+    fn predict(&mut self, _idx: usize, cdq: &CdqInfo) -> bool {
         (self.decide)(cdq)
     }
 
-    fn observe(&mut self, cdq: &CdqInfo, _colliding: bool) {
+    fn observe(&mut self, _idx: usize, cdq: &CdqInfo, _colliding: bool) {
         let key = (cdq.pose_idx, cdq.link_idx);
         if self.observed.contains(&key) && self.duplicate.is_none() {
             self.duplicate = Some(format!("CDQ {key:?} executed twice"));
@@ -322,8 +322,8 @@ mod tests {
         let g = ScenarioGen::new(1);
         let case = g.schedule_case(0);
         let mut p = RecordingPredictor::new(|_| false);
-        p.observe(&case.cdqs[0], false);
-        p.observe(&case.cdqs[0], false);
+        p.observe(0, &case.cdqs[0], false);
+        p.observe(0, &case.cdqs[0], false);
         assert!(p.duplicate.is_some());
     }
 

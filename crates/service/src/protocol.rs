@@ -44,8 +44,8 @@
 //! unchanged.
 
 use copred_obs::TraceId;
-use copred_trace::MotionTrace;
-use std::fmt;
+use copred_trace::{fields, MotionTrace};
+use std::fmt::{self, Write as _};
 
 /// How a session schedules the CDQs of each motion check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,7 +436,7 @@ impl Request {
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().enumerate();
         let (_, head) = lines.next().ok_or("empty request")?;
-        let mut f = head.split_whitespace();
+        let mut f = fields(head);
         let verb = f.next().ok_or("blank request line")?;
         match verb {
             "open" => {
@@ -616,13 +616,9 @@ impl Response {
                     None => format!("ok results {}\n", results.len()),
                 };
                 for r in results {
-                    out.push_str(&format!(
-                        "result {} {} {} {}\n",
-                        u8::from(r.colliding),
-                        r.cdqs_executed,
-                        r.cdqs_total,
-                        r.obstacle_tests
-                    ));
+                    let flag = u8::from(r.colliding);
+                    let (e, t, o) = (r.cdqs_executed, r.cdqs_total, r.obstacle_tests);
+                    writeln!(out, "result {flag} {e} {t} {o}").expect("string write");
                 }
                 out
             }
@@ -630,7 +626,7 @@ impl Response {
             Response::Stats(kv) => {
                 let mut out = format!("ok stats {}\n", kv.len());
                 for (k, v) in kv {
-                    out.push_str(&format!("{k} {v}\n"));
+                    writeln!(out, "{k} {v}").expect("string write");
                 }
                 out
             }
@@ -663,7 +659,7 @@ impl Response {
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let head = lines.next().ok_or("empty response")?;
-        let mut f = head.split_whitespace();
+        let mut f = fields(head);
         match f.next() {
             Some("ok") => match f.next() {
                 Some("session") => {
@@ -688,7 +684,7 @@ impl Response {
                     let mut rs = Vec::with_capacity(n);
                     for _ in 0..n {
                         let line = lines.next().ok_or("truncated results")?;
-                        let mut g = line.split_whitespace();
+                        let mut g = fields(line);
                         if g.next() != Some("result") {
                             return Err("expected 'result' line".into());
                         }

@@ -106,6 +106,13 @@ impl SessionState {
 /// [`CdqPredictor`] adapter binding a session's shard, hasher, and the
 /// poses of the motion being checked.
 ///
+/// Its bookkeeping is dense: [`Self::prime`] hashes every CDQ into an
+/// array indexed by the CDQ's position in the schedule's slice (the index
+/// each [`CdqPredictor`] call carries) and sizes the prediction stash the
+/// same way. Nothing is sized from a CDQ's `link_idx`, which reaches the
+/// server unchecked from the client, and the arrays are reused from one
+/// motion of a batch to the next.
+///
 /// Prediction quality (the confusion counters) is classified at *observe*
 /// time, not predict time: under early exit a schedule consults the
 /// predictor for every CDQ but executes only some of them, so counting at
@@ -118,12 +125,14 @@ pub struct ChtPredictor<'a> {
     /// `false` disables lookups entirely (naive/CSP sessions), leaving the
     /// scheduler to degrade to plain CSP order.
     enabled: bool,
-    /// Latest prediction per `(pose_idx, link_idx)`, consumed at observe.
-    predictions: HashMap<(usize, usize), bool>,
-    /// COORD codes precomputed by [`Self::prime`], keyed like
-    /// `predictions`. Empty until primed; `code` falls back to the scalar
-    /// hash for any CDQ not in here.
-    codes: HashMap<(usize, usize), u64>,
+    /// Latest prediction per CDQ position, consumed at observe.
+    predictions: Vec<bool>,
+    /// COORD code per CDQ position, computed by [`Self::prime`] (coord
+    /// sessions only); `code` falls back to the scalar hash for a position
+    /// past its end.
+    codes: Vec<u64>,
+    /// The batched hash's input, kept to reuse its allocation.
+    centers: Vec<copred_geometry::Vec3>,
 }
 
 impl<'a> ChtPredictor<'a> {
@@ -133,33 +142,35 @@ impl<'a> ChtPredictor<'a> {
             session,
             poses,
             enabled: session.mode == SchedMode::Coord,
-            predictions: HashMap::new(),
-            codes: HashMap::new(),
+            predictions: Vec::new(),
+            codes: Vec::new(),
+            centers: Vec::new(),
         }
     }
 
     /// Precomputes the COORD code of every CDQ in `infos` with the batched
     /// hash, so the per-CDQ predict/observe calls skip scalar re-encoding
-    /// (observe would otherwise encode the same center a second time).
+    /// (observe would otherwise encode the same center a second time), and
+    /// clears the prediction stash for `infos.len()` CDQs.
     ///
     /// Bit-exact by construction: a COORD code depends only on the CDQ
     /// center and the session hasher — never on table state — so computing
     /// it up front cannot change any code, prediction, or ledger entry.
     pub fn prime(&mut self, infos: &[CdqInfo]) {
-        if !self.enabled || infos.is_empty() {
-            return;
-        }
-        let centers: Vec<copred_geometry::Vec3> = infos.iter().map(|c| c.center).collect();
-        let mut codes = vec![0u64; centers.len()];
-        self.session.hasher.code_batch(&centers, &mut codes);
-        self.codes.reserve(infos.len());
-        for (c, &code) in infos.iter().zip(&codes) {
-            self.codes.insert((c.pose_idx, c.link_idx), code);
+        self.predictions.clear();
+        self.predictions.resize(infos.len(), false);
+        if self.enabled {
+            self.centers.clear();
+            self.centers.extend(infos.iter().map(|c| c.center));
+            self.codes.resize(infos.len(), 0);
+            self.session
+                .hasher
+                .code_batch(&self.centers, &mut self.codes);
         }
     }
 
-    fn code(&self, cdq: &CdqInfo) -> u64 {
-        if let Some(&code) = self.codes.get(&(cdq.pose_idx, cdq.link_idx)) {
+    fn code(&self, idx: usize, cdq: &CdqInfo) -> u64 {
+        if let Some(&code) = self.codes.get(idx) {
             return code;
         }
         let input = HashInput {
@@ -171,17 +182,19 @@ impl<'a> ChtPredictor<'a> {
 }
 
 impl CdqPredictor for ChtPredictor<'_> {
-    fn predict(&mut self, cdq: &CdqInfo) -> bool {
+    fn predict(&mut self, idx: usize, cdq: &CdqInfo) -> bool {
         if !self.enabled {
             return false;
         }
-        let predicted = self.session.shard.predict(self.code(cdq));
-        self.predictions
-            .insert((cdq.pose_idx, cdq.link_idx), predicted);
+        let predicted = self.session.shard.predict(self.code(idx, cdq));
+        // Unprimed, the stash grows to the caller's slice, never further.
+        let len = self.predictions.len().max(idx + 1);
+        self.predictions.resize(len, false);
+        self.predictions[idx] = predicted;
         predicted
     }
 
-    fn observe(&mut self, cdq: &CdqInfo, colliding: bool) {
+    fn observe(&mut self, idx: usize, cdq: &CdqInfo, colliding: bool) {
         if !self.enabled {
             return;
         }
@@ -189,10 +202,7 @@ impl CdqPredictor for ChtPredictor<'_> {
         // prediction stashed for it. A CDQ observed without a prior
         // predict call counts as a negative prediction (the scheduler's
         // default when it never consulted us).
-        let predicted = self
-            .predictions
-            .remove(&(cdq.pose_idx, cdq.link_idx))
-            .unwrap_or(false);
+        let predicted = self.predictions.get_mut(idx).is_some_and(std::mem::take);
         let m = &self.session.metrics;
         let counter = match (predicted, colliding) {
             (true, true) => &m.true_pos,
@@ -202,7 +212,7 @@ impl CdqPredictor for ChtPredictor<'_> {
         };
         counter.fetch_add(1, Ordering::Relaxed);
         let u = self.session.next_u_draw();
-        let code = self.code(cdq);
+        let code = self.code(idx, cdq);
         let applied = self.session.shard.observe(code, colliding, u);
         // WAL-log only *applied* writes (the U gate already ran), so replay
         // is RNG-free and bit-exact. The compaction closure exports the
@@ -276,28 +286,28 @@ impl<'a, P: CdqPredictor> TimedPredictor<'a, P> {
 }
 
 impl<P: CdqPredictor> CdqPredictor for TimedPredictor<'_, P> {
-    fn predict(&mut self, cdq: &CdqInfo) -> bool {
+    fn predict(&mut self, idx: usize, cdq: &CdqInfo) -> bool {
         // Time call 0 and then every SAMPLE-th, so short batches still
         // get a measurement.
         let timed = self.predict_calls.is_multiple_of(Self::SAMPLE);
         self.predict_calls += 1;
         if !timed {
-            return self.inner.predict(cdq);
+            return self.inner.predict(idx, cdq);
         }
         let t = std::time::Instant::now();
-        let r = self.inner.predict(cdq);
+        let r = self.inner.predict(idx, cdq);
         self.predict_sampled_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
         r
     }
 
-    fn observe(&mut self, cdq: &CdqInfo, colliding: bool) {
+    fn observe(&mut self, idx: usize, cdq: &CdqInfo, colliding: bool) {
         let timed = self.observe_calls.is_multiple_of(Self::SAMPLE);
         self.observe_calls += 1;
         if !timed {
-            return self.inner.observe(cdq, colliding);
+            return self.inner.observe(idx, cdq, colliding);
         }
         let t = std::time::Instant::now();
-        self.inner.observe(cdq, colliding);
+        self.inner.observe(idx, cdq, colliding);
         self.observe_sampled_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
 }
@@ -319,6 +329,9 @@ pub fn execute_batch(
     motions: &[copred_trace::MotionTrace],
     csp_step: usize,
 ) -> Vec<CheckResult> {
+    // One predictor serves the whole batch, so its arrays are allocated
+    // once and re-primed per motion.
+    let mut pred = ChtPredictor::new(session, &[]);
     motions
         .iter()
         .map(|m| {
@@ -331,7 +344,7 @@ pub fn execute_batch(
             let execute_stage = stage(Stage::Execute);
             let out = match session.mode {
                 SchedMode::Coord => {
-                    let mut pred = ChtPredictor::new(session, &m.poses);
+                    pred.poses = &m.poses;
                     {
                         let _predict_stage = stage(Stage::Predict);
                         pred.prime(&infos);

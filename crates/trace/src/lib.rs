@@ -317,7 +317,7 @@ impl QueryTrace {
         let (ln, header) = lines
             .next()
             .ok_or_else(|| TraceParseError::at(0, "empty trace"))?;
-        let mut h = header.split_whitespace();
+        let mut h = fields(header);
         if h.next() != Some("query") {
             return Err(TraceParseError::at(ln, "expected 'query' header"));
         }
@@ -358,7 +358,7 @@ pub fn parse_motion_block<'a>(
     lines: &mut impl Iterator<Item = (usize, &'a str)>,
 ) -> Result<MotionTrace, TraceParseError> {
     let ln = header_ln;
-    let mut f = header.split_whitespace();
+    let mut f = fields(header);
     if f.next() != Some("motion") {
         return Err(TraceParseError::at(ln, "expected 'motion' line"));
     }
@@ -383,12 +383,16 @@ pub fn parse_motion_block<'a>(
         let (ln, line) = lines
             .next()
             .ok_or_else(|| TraceParseError::at(ln, "truncated pose block"))?;
-        let mut f = line.split_whitespace();
+        let mut f = fields(line);
         if f.next() != Some("pose") {
             return Err(TraceParseError::at(ln, "expected 'pose' line"));
         }
-        let vals: Result<Vec<f64>, _> = f.map(str::parse).collect();
-        let vals = vals.map_err(|_| TraceParseError::at(ln, "bad pose value"))?;
+        // Poses of one motion share a DOF count: size for the last one.
+        let mut vals = Vec::with_capacity(poses.last().map_or(0, Config::dofs));
+        let bad = |_| TraceParseError::at(ln, "bad pose value");
+        for v in f {
+            vals.push(v.parse().map_err(bad)?);
+        }
         poses.push(Config::new(vals));
     }
     let mut cdqs = Vec::with_capacity(n_cdqs);
@@ -396,7 +400,7 @@ pub fn parse_motion_block<'a>(
         let (ln, line) = lines
             .next()
             .ok_or_else(|| TraceParseError::at(ln, "truncated cdq block"))?;
-        let mut f = line.split_whitespace();
+        let mut f = fields(line);
         if f.next() != Some("cdq") {
             return Err(TraceParseError::at(ln, "expected 'cdq' line"));
         }
@@ -425,6 +429,24 @@ pub fn parse_motion_block<'a>(
         });
     }
     Ok(MotionTrace { stage, poses, cdqs })
+}
+
+/// The whitespace-separated fields of one line, exactly as
+/// [`str::split_whitespace`] yields them.
+///
+/// Every line this crate and the service wire write is ASCII, so such a
+/// line splits over `as_bytes()` and never decodes a `char`. Any other
+/// line, or one holding U+000B (whitespace to Unicode, not to
+/// `split_ascii_whitespace`), takes the Unicode path, so U+00A0 or U+2003
+/// still separate fields. Motion blocks, trace headers and service frames
+/// all tokenize through this one function.
+pub fn fields(line: &str) -> impl Iterator<Item = &str> + '_ {
+    let ascii = line.is_ascii() && !line.contains('\u{b}');
+    // One of the two halves is empty, so the chain is one tokenizer.
+    let (bytes, unicode) = if ascii { (line, "") } else { ("", line) };
+    bytes
+        .split_ascii_whitespace()
+        .chain(unicode.split_whitespace())
 }
 
 fn parse_field<T: std::str::FromStr>(
@@ -476,7 +498,7 @@ mod tests {
     use copred_kinematics::{presets, Motion};
     use copred_planners::{PlanContext, Planner, Rrt};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_trace() -> (Robot, Environment, QueryTrace) {
         let robot: Robot = presets::planar_2d().into();
@@ -544,6 +566,36 @@ mod tests {
             } else {
                 assert_eq!(naive.cdqs_executed, m.cdq_count());
             }
+        }
+    }
+
+    #[test]
+    fn fields_match_split_whitespace() {
+        // Every char up to U+30FF (all of Unicode's White_Space lies below
+        // U+3001) as the middle of a short line.
+        for c in (0..0x3100).filter_map(char::from_u32) {
+            for s in [
+                format!("a{c}b"),
+                format!("{c}{c}1.5 {c}"),
+                format!("x\t{c}"),
+            ] {
+                let want: Vec<&str> = s.split_whitespace().collect();
+                assert_eq!(fields(&s).collect::<Vec<_>>(), want, "{s:?}");
+            }
+        }
+        let alphabet = [
+            'a', '0', '.', '-', '!', '\u{0}', '\u{8}', '\u{e}', '\u{1f}', '\u{7f}', ' ', '\t',
+            '\n', '\u{b}', '\u{c}', '\r', '\u{85}', 'é', '\u{a0}', '\u{2003}', '\u{3000}',
+            '\u{feff}',
+        ];
+        let mut rng = StdRng::seed_from_u64(0xF1E1D5);
+        for _ in 0..40_000 {
+            // ASCII-only alphabet half the time, so long ASCII lines occur.
+            let k = if rng.gen() { 16 } else { alphabet.len() };
+            let len = rng.gen_range(0..40);
+            let s: String = (0..len).map(|_| alphabet[rng.gen_range(0..k)]).collect();
+            let want: Vec<&str> = s.split_whitespace().collect();
+            assert_eq!(fields(&s).collect::<Vec<_>>(), want, "{s:?}");
         }
     }
 
